@@ -4,7 +4,8 @@
 // Edge file header:  src,tgt,labels,truth,<prop1>,...
 // `labels` is a ';'-separated label list; empty cells mean "property
 // absent". Values are parsed with the priority rules of
-// graph/value.h::ParseValue.
+// graph/value.h::ParseValue. When several property columns share a name,
+// the first non-empty cell of a row wins.
 
 #ifndef PGHIVE_GRAPH_CSV_IO_H_
 #define PGHIVE_GRAPH_CSV_IO_H_
@@ -23,8 +24,10 @@ std::string NodesToCsv(const PropertyGraph& g);
 std::string EdgesToCsv(const PropertyGraph& g);
 
 /// Parses a graph from node + edge CSV text produced by the exporters (or
-/// hand-written in the same dialect). Node ids in the files must be dense
-/// 0..n-1 in row order.
+/// hand-written in the same dialect) in one streaming pass. Each node's
+/// `id` must be its row index written as std::to_string writes it; `src` /
+/// `tgt` must be complete unsigned decimals. Symbol ids are assigned in
+/// first-seen row order, exactly as AddNode / AddEdge would assign them.
 Result<PropertyGraph> GraphFromCsv(const std::string& nodes_csv,
                                    const std::string& edges_csv);
 

@@ -271,8 +271,9 @@ class PropertyGraph {
 
   /// Constructs an empty graph over an existing symbol context (the
   /// columnar snapshot decode path re-interns the persisted symbol tables
-  /// once, then appends elements by id through AddNodeInterned/
-  /// AddEdgeInterned). `symbols` must be non-null.
+  /// once, and the CSV loader interns each distinct label/key set as it
+  /// first appears; both then append elements by id through
+  /// AddNodeInterned/AddEdgeInterned). `symbols` must be non-null.
   explicit PropertyGraph(std::shared_ptr<GraphSymbols> symbols);
 
   PropertyGraph(const PropertyGraph&) = default;

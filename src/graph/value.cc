@@ -127,20 +127,19 @@ bool LooksLikeIsoTimestamp(std::string_view s) {
          AllDigits(s.substr(17, 2));
 }
 
-}  // namespace
-
-DataType InferDataTypeFromText(std::string_view text) {
+// The priority rules, shared by InferDataTypeFromText and ParseValue. The
+// number parsed on the way is left in *i (kInt) or *d (kDouble), so a
+// value is parsed once.
+DataType Classify(std::string_view text, int64_t* i, double* d) {
   if (text.empty()) return DataType::kString;
   // Integer?
   {
-    int64_t v = 0;
-    auto [ptr, ec] = std::from_chars(text.begin(), text.end(), v);
+    auto [ptr, ec] = std::from_chars(text.begin(), text.end(), *i);
     if (ec == std::errc() && ptr == text.end()) return DataType::kInt;
   }
   // Float? (from_chars for double: GCC 11+ supports it)
   {
-    double v = 0;
-    auto [ptr, ec] = std::from_chars(text.begin(), text.end(), v);
+    auto [ptr, ec] = std::from_chars(text.begin(), text.end(), *d);
     if (ec == std::errc() && ptr == text.end()) return DataType::kDouble;
   }
   if (text == "true" || text == "false" || text == "TRUE" || text == "FALSE") {
@@ -151,18 +150,22 @@ DataType InferDataTypeFromText(std::string_view text) {
   return DataType::kString;
 }
 
+}  // namespace
+
+DataType InferDataTypeFromText(std::string_view text) {
+  int64_t i = 0;
+  double d = 0;
+  return Classify(text, &i, &d);
+}
+
 Value ParseValue(std::string_view text) {
-  switch (InferDataTypeFromText(text)) {
-    case DataType::kInt: {
-      int64_t v = 0;
-      std::from_chars(text.begin(), text.end(), v);
-      return Value::Int(v);
-    }
-    case DataType::kDouble: {
-      double v = 0;
-      std::from_chars(text.begin(), text.end(), v);
-      return Value::Double(v);
-    }
+  int64_t i = 0;
+  double d = 0;
+  switch (Classify(text, &i, &d)) {
+    case DataType::kInt:
+      return Value::Int(i);
+    case DataType::kDouble:
+      return Value::Double(d);
     case DataType::kBool:
       return Value::Bool(text == "true" || text == "TRUE");
     case DataType::kDate:

@@ -364,6 +364,87 @@ TEST(CsvTest, RowRoundTrip) {
   EXPECT_EQ((*parsed)[0], row);
 }
 
+TEST(CsvTest, CursorViewsUnquotedFieldsInPlace) {
+  const std::string text = "ab,\"c,d\",e\nf";
+  CsvCursor cursor(text);
+  auto more = cursor.Next();
+  ASSERT_TRUE(more.ok() && *more);
+  const auto& fields = cursor.fields();
+  ASSERT_EQ(fields.size(), 3u);
+  EXPECT_EQ(fields[0], "ab");
+  EXPECT_EQ(fields[0].data(), text.data());  // a view, not a copy
+  EXPECT_EQ(fields[1], "c,d");               // unescaped copy
+  EXPECT_EQ(fields[2], "e");
+  EXPECT_EQ(fields[2].data(), text.data() + 9);
+  EXPECT_EQ(cursor.offset(), 11u);
+  more = cursor.Next();
+  ASSERT_TRUE(more.ok() && *more);
+  EXPECT_EQ(cursor.fields(), (std::vector<std::string_view>{"f"}));
+  more = cursor.Next();
+  ASSERT_TRUE(more.ok());
+  EXPECT_FALSE(*more);
+}
+
+TEST(CsvTest, CursorKeepsEveryQuotedFieldOfARecord) {
+  // More quoted fields than fit in one small-string buffer each: every view
+  // must still point at its own unescaped text.
+  std::string text;
+  for (int i = 0; i < 40; ++i) {
+    text += (i > 0 ? ",\"" : "\"") + std::to_string(i) + "\"";
+  }
+  CsvCursor cursor(text);
+  auto more = cursor.Next();
+  ASSERT_TRUE(more.ok() && *more);
+  ASSERT_EQ(cursor.fields().size(), 40u);
+  for (int i = 0; i < 40; ++i) {
+    EXPECT_EQ(cursor.fields()[i], std::to_string(i));
+  }
+}
+
+TEST(CsvTest, RecordTerminators) {
+  // Bare CR, CRLF and LF all end a record; a final line break adds none; an
+  // empty line in the middle is one empty field.
+  auto rows = ParseCsv("a\rb\r\nc\n\nd\n");
+  ASSERT_TRUE(rows.ok());
+  EXPECT_EQ(*rows, (std::vector<std::vector<std::string>>{
+                       {"a"}, {"b"}, {"c"}, {""}, {"d"}}));
+  auto empty = ParseCsv("");
+  ASSERT_TRUE(empty.ok());
+  EXPECT_TRUE(empty->empty());
+}
+
+TEST(CsvTest, QuotesMayOpenMidField) {
+  auto fields = ParseCsvLine("ab\"c,d\"e,\"\"\"\",x\"\"y");
+  ASSERT_TRUE(fields.ok());
+  EXPECT_EQ(*fields, (std::vector<std::string>{"abc,de", "\"", "xy"}));
+}
+
+TEST(CsvTest, LineParsing) {
+  auto empty = ParseCsvLine("");
+  ASSERT_TRUE(empty.ok());
+  EXPECT_EQ(*empty, (std::vector<std::string>{""}));
+  auto trailing = ParseCsvLine("a,b\r\n");
+  ASSERT_TRUE(trailing.ok());
+  EXPECT_EQ(*trailing, (std::vector<std::string>{"a", "b"}));
+  auto two = ParseCsvLine("a\nb");
+  EXPECT_FALSE(two.ok());
+  EXPECT_EQ(two.status().code(), StatusCode::kParseError);
+}
+
+TEST(CsvTest, ReadFileReturnsExactBytes) {
+  std::string path = testing::TempDir() + "/pghive_csv_binary.bin";
+  std::string bytes("a\0b\r\n\xff", 6);
+  for (int i = 0; i < 5000; ++i) bytes += static_cast<char>(i * 7);
+  ASSERT_TRUE(WriteFile(path, bytes).ok());
+  auto content = ReadFile(path);
+  ASSERT_TRUE(content.ok());
+  EXPECT_EQ(*content, bytes);
+  ASSERT_TRUE(WriteFile(path, "").ok());
+  content = ReadFile(path);
+  ASSERT_TRUE(content.ok());
+  EXPECT_TRUE(content->empty());
+}
+
 TEST(CsvTest, ReadMissingFileFails) {
   auto content = ReadFile("/nonexistent/path/file.csv");
   EXPECT_FALSE(content.ok());

@@ -24,16 +24,11 @@
 #include "graph/mutations.h"
 #include "graph/property_graph.h"
 #include "store/state_store.h"
+#include "test_dir.h"
 #include "text/label_embedder.h"
 
 namespace pghive {
 namespace {
-
-std::string TestDir(const std::string& name) {
-  std::string dir = testing::TempDir() + "/pghive_drift_eq_" + name;
-  std::filesystem::remove_all(dir);
-  return dir;
-}
 
 /// Mutation-stream side: every batch through the Feed/FeedMutations
 /// dispatch the durable store uses.

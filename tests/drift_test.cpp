@@ -30,6 +30,7 @@
 #include "store/journal.h"
 #include "store/snapshot.h"
 #include "store/state_store.h"
+#include "test_dir.h"
 #include "text/label_embedder.h"
 
 namespace pghive {
@@ -62,12 +63,6 @@ store::StoreOptions FastStoreOptions() {
   opt.incremental = FastOptions();
   opt.fsync = false;
   return opt;
-}
-
-std::string TestDir(const std::string& name) {
-  std::string dir = testing::TempDir() + "/pghive_drift_" + name;
-  std::filesystem::remove_all(dir);
-  return dir;
 }
 
 /// Applies a mutation stream through the engine's Feed/FeedMutations split

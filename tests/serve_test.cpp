@@ -29,6 +29,7 @@
 #include "serve/server.h"
 #include "serve/wire.h"
 #include "store/state_store.h"
+#include "test_dir.h"
 
 namespace pghive {
 namespace serve {
@@ -54,12 +55,6 @@ GraphHostOptions FastHostOptions() {
   GraphHostOptions opt;
   opt.store = FastStoreOptions();
   return opt;
-}
-
-std::string TestDir(const std::string& name) {
-  std::string dir = testing::TempDir() + "/pghive_serve_" + name;
-  std::filesystem::remove_all(dir);
-  return dir;
 }
 
 /// The post-processed schema JSON a sequential durable run shows after each

@@ -17,6 +17,7 @@
 #include "store/journal.h"
 #include "store/snapshot.h"
 #include "store/state_store.h"
+#include "test_dir.h"
 
 namespace pghive {
 namespace store {
@@ -39,12 +40,6 @@ StoreOptions FastOptions() {
   opt.fsync = false;
   opt.checkpoint_every_batches = 2;
   return opt;
-}
-
-std::string TestDir(const std::string& name) {
-  std::string dir = testing::TempDir() + "/pghive_store_" + name;
-  std::filesystem::remove_all(dir);
-  return dir;
 }
 
 void CorruptByteAt(const std::string& path, size_t offset_from_end) {

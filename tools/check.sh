@@ -10,8 +10,8 @@
 # --threads 4 discovery, so every parallelized stage (including the
 # parallel snapshot encode) executes under the race detector.
 #
-# The ASan/UBSan leg rebuilds the store, csv, parser, golden-equivalence
-# and snapshot-compat tests in build-asan/ with
+# The ASan/UBSan leg rebuilds the store, csv (tokenizer + graph loader),
+# parser, golden-equivalence and snapshot-compat tests in build-asan/ with
 # -DPGHIVE_SANITIZE=address,undefined and drives a durable
 # discover -> crash-free resume -> inspect-state cycle through the CLI, so
 # the binary-format decoders run their corrupt-input paths under the memory
@@ -284,14 +284,16 @@ cmake -B build-asan -S . -DPGHIVE_SANITIZE=address,undefined \
   -DPGHIVE_BUILD_BENCHMARKS=OFF -DPGHIVE_BUILD_EXAMPLES=OFF \
   -DPGHIVE_BUILD_TOOLS=OFF
 cmake --build build-asan -j "${JOBS}" \
-  --target store_test csv_io_test pgschema_parser_test \
+  --target store_test common_test csv_io_test pgschema_parser_test \
   golden_equivalence_test store_compat_test drift_test \
   drift_equivalence_test lsh_test cluster_test pghive_app
 # SimdKernel / EuclideanLsh / MinHash / LshClusterer cover the SoA + SIMD
 # hot-path kernels (aligned loads, padded-lane reads, the AVX2 intrinsics
-# paths) under ASan/UBSan alongside the store decoders.
+# paths) under ASan/UBSan alongside the store decoders; Csv covers the CSV
+# cursor (CsvTest) and the streaming graph loader with its seeded mutation
+# test (CsvIoTest).
 (cd build-asan && ctest --output-on-failure -j "${JOBS}" \
-  -R 'BinaryIo|Codec|Snapshot|Journal|StreamBatches|Fingerprint|Durable|CsvIo|PgSchemaParser|GoldenEquivalence|StoreCompat|Drift|Mutation|Evolution|NetSurviving|SimdKernel|EuclideanLsh|MinHash|LshClusterer')
+  -R 'BinaryIo|Codec|Snapshot|Journal|StreamBatches|Fingerprint|Durable|Csv|PgSchemaParser|GoldenEquivalence|StoreCompat|Drift|Mutation|Evolution|NetSurviving|SimdKernel|EuclideanLsh|MinHash|LshClusterer')
 
 ./build-asan/apps/pghive generate POLE "${tmpdir}/pole2" --nodes 1000
 ./build-asan/apps/pghive discover "${tmpdir}/pole2" --incremental 4 \
