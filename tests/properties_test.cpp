@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "core/incremental.h"
 #include "core/pgschema_parser.h"
@@ -288,8 +289,11 @@ INSTANTIATE_TEST_SUITE_P(Distances, ElshTheoryTest,
 
 // ---------- noise robustness property of the full pipeline ----------
 
+// The dataset is a std::string, not a const char*: gtest prints a char
+// pointer with its address, which would put a per-run address into the
+// test name.
 class RobustnessTest
-    : public testing::TestWithParam<std::tuple<const char*, double>> {};
+    : public testing::TestWithParam<std::tuple<std::string, double>> {};
 
 TEST_P(RobustnessTest, FullyLabeledDiscoveryStaysAccurateUnderNoise) {
   auto [dataset, noise] = GetParam();
