@@ -21,7 +21,6 @@
 #include "bench_util.h"
 #include "common/csv.h"
 #include "common/json.h"
-#include "common/timer.h"
 #include "core/feature_encoder.h"
 #include "core/incremental.h"
 #include "core/pipeline.h"
@@ -173,8 +172,7 @@ JsonObject StagesToJson(const StageTimings& t) {
   stages.emplace("extract_edges", t.extract_edges);
   // Hot-path sub-kernels (see StageTimings): the embed loop inside each
   // encode stage, and the LSH key computation (project) vs bucket-union
-  // merge (hash) split inside each cluster stage. Zero on the sharded Feed
-  // path, where shard workers interleave the two.
+  // merge (hash) split inside each cluster stage.
   stages.emplace("encode_nodes_embed", t.encode_nodes_embed);
   stages.emplace("encode_edges_embed", t.encode_edges_embed);
   stages.emplace("cluster_nodes_project", t.cluster_nodes_project);
@@ -344,77 +342,6 @@ JsonObject IncrementalScalingToJson(const PropertyGraph& g,
   return doc;
 }
 
-/// Min-of-`reps` wall-clock seconds of feeding `g` as a 16-batch stream
-/// through the incremental engine under the given shard/thread layout
-/// (delta aggregates on, per-batch post-processing — the serve-path
-/// ingest workload). Returns a negative value when a feed fails.
-double TimedShardedFeedSeconds(const PropertyGraph& g, int threads,
-                               int feed_shards, int reps) {
-  constexpr size_t kBatches = 16;
-  double best = -1.0;
-  for (int r = 0; r < reps; ++r) {
-    IncrementalOptions opt;
-    opt.pipeline.num_threads = threads;
-    opt.pipeline.feed_shards = feed_shards;
-    opt.post_process_each_batch = true;
-    IncrementalDiscoverer disc(opt);
-    Timer timer;
-    for (const GraphBatch& batch : SplitIntoBatches(g, kBatches)) {
-      Status s = disc.Feed(batch);
-      if (!s.ok()) {
-        std::fprintf(stderr, "sharded feed failed: %s\n",
-                     s.ToString().c_str());
-        return -1.0;
-      }
-    }
-    const double seconds = timer.ElapsedSeconds();
-    if (best < 0.0 || seconds < best) best = seconds;
-  }
-  return best;
-}
-
-/// Sharded-Feed thread sweep: the tentpole workload (signature-sharded
-/// per-batch folds, shard-order merge) at a fixed 16-shard layout across
-/// thread counts. tools/check.sh gates speedup_8t_vs_1t on multicore
-/// hosts; single-core entries carry "degraded": true and are not gated.
-JsonObject ShardedFeedSweepToJson(const PropertyGraph& g,
-                                  const std::string& dataset, int hw) {
-  constexpr int kShards = 16;
-  JsonObject doc;
-  doc.emplace("dataset", dataset);
-  doc.emplace("feed_shards", kShards);
-  doc.emplace("batches", static_cast<uint64_t>(16));
-  JsonArray runs;
-  double t1 = -1.0, t8 = -1.0;
-  for (int threads : {1, 2, 8}) {
-    const double seconds =
-        TimedShardedFeedSeconds(g, threads, kShards, /*reps=*/3);
-    JsonObject run;
-    run.emplace("threads", threads);
-    run.emplace("feed_seconds", seconds);
-    const bool degraded = threads > 1 && hw <= 1;
-    if (degraded) run.emplace("degraded", true);
-    if (threads == 1) t1 = seconds;
-    if (threads == 8) t8 = seconds;
-
-    JsonObject fields;
-    fields.emplace("dataset", dataset);
-    fields.emplace("threads", threads);
-    fields.emplace("feed_shards", kShards);
-    fields.emplace("feed_seconds", seconds);
-    if (degraded) fields.emplace("degraded", true);
-    std::fprintf(
-        stderr, "%s\n",
-        bench::BenchJsonl("micro_pipeline.sharded_feed", fields).c_str());
-    runs.push_back(std::move(run));
-  }
-  doc.emplace("runs", std::move(runs));
-  if (t1 > 0.0 && t8 > 0.0) {
-    doc.emplace("speedup_8t_vs_1t", t1 / t8);
-  }
-  return doc;
-}
-
 void WritePipelineBaseline() {
   // Largest synthetic dataset by default size (the acceptance workload).
   const std::vector<DatasetSpec> specs = AllDatasetSpecs();
@@ -462,7 +389,6 @@ void WritePipelineBaseline() {
     doc.emplace("speedup_vs_1thread", t1 / tn);
   }
   doc.emplace("incremental", IncrementalScalingToJson(*g, largest->name));
-  doc.emplace("sharded_feed", ShardedFeedSweepToJson(*g, largest->name, hw));
 
   // The same runs once more in the shared JSONL metric schema, so the
   // perf trajectory can be tailed/joined with --metrics-out exports.

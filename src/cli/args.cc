@@ -1,9 +1,10 @@
 #include "cli/args.h"
 
+#include <charconv>
+#include <climits>
 #include <cstdlib>
 
 #include "common/string_util.h"
-#include "core/shard_plan.h"
 #include "runtime/thread_pool.h"
 
 namespace pghive {
@@ -55,32 +56,20 @@ bool Args::GetBool(const std::string& flag, bool fallback) const {
 }
 
 Result<int> Args::GetThreads() const {
-  int64_t threads = GetInt("threads", ThreadCountFromEnv(/*fallback=*/1));
-  if (threads < 0) {
+  auto it = flags_.find("threads");
+  if (it == flags_.end()) return ThreadCountFromEnv(/*fallback=*/1);
+  // Unsigned parse: std::from_chars takes no sign, whitespace or prefix, so
+  // only a plain run of digits reaches the range check.
+  const std::string& v = it->second;
+  const char* end = v.data() + v.size();
+  unsigned long long threads = 0;
+  const auto [stop, ec] = std::from_chars(v.data(), end, threads);
+  if (ec != std::errc() || stop != end || threads > INT_MAX) {
     return Status::InvalidArgument(
-        "--threads must be >= 0 (0 = hardware concurrency)");
+        "--threads must be a non-negative integer (0 = hardware "
+        "concurrency), got '" + v + "'");
   }
   return static_cast<int>(threads);
-}
-
-namespace {
-
-int64_t FeedShardsFromEnv(int64_t fallback) {
-  const char* v = std::getenv("PGHIVE_FEED_SHARDS");
-  if (v == nullptr || *v == '\0') return fallback;
-  return std::atoll(v);
-}
-
-}  // namespace
-
-Result<int> Args::GetFeedShards() const {
-  int64_t shards = GetInt("feed-shards", FeedShardsFromEnv(/*fallback=*/1));
-  if (shards < 1 || shards > ShardPlan::kMaxShards) {
-    return Status::InvalidArgument(
-        "--feed-shards must be in [1, " +
-        std::to_string(ShardPlan::kMaxShards) + "]");
-  }
-  return static_cast<int>(shards);
 }
 
 std::vector<std::string> Args::UnknownFlags(

@@ -35,16 +35,10 @@ class Args {
 
   /// Worker-thread count for the execution runtime: the --threads flag when
   /// present, else the PGHIVE_THREADS environment variable, else 1
-  /// (sequential). 0 means "hardware concurrency"; negative values are
-  /// rejected as InvalidArgument.
+  /// (sequential). 0 means "hardware concurrency". The flag value must be a
+  /// complete non-negative decimal that fits in an int; anything else
+  /// (signs, suffixes, overflow, a bare --threads) is InvalidArgument.
   Result<int> GetThreads() const;
-
-  /// Signature-shard count for the sharded incremental Feed path: the
-  /// --feed-shards flag when present, else the PGHIVE_FEED_SHARDS
-  /// environment variable, else 1 (unsharded). Values < 1 or above
-  /// ShardPlan::kMaxShards are rejected as InvalidArgument. Output-neutral:
-  /// any accepted value yields a bit-identical schema.
-  Result<int> GetFeedShards() const;
 
  private:
   std::vector<std::string> positional_;

@@ -19,7 +19,6 @@
 #include "core/label_alias.h"
 #include "core/pipeline.h"
 #include "core/schema_diff.h"
-#include "core/shard_plan.h"
 #include "core/pgschema_parser.h"
 #include "core/schema_json.h"
 #include "core/serialization.h"
@@ -157,7 +156,6 @@ Result<PipelineOptions> PipelineOptionsFromArgs(const Args& args) {
   opt.datatypes.sample = args.GetBool("sample-datatypes", false);
   opt.seed = static_cast<uint64_t>(args.GetInt("seed", 42));
   PGHIVE_ASSIGN_OR_RETURN(opt.num_threads, args.GetThreads());
-  PGHIVE_ASSIGN_OR_RETURN(opt.feed_shards, args.GetFeedShards());
   if (args.Has("bucket")) {
     opt.adaptive_parameters = false;
     opt.elsh.bucket_length = args.GetDouble("bucket", 1.0);
@@ -324,8 +322,6 @@ Status CmdDiscover(const Args& args, std::ostream& out) {
         "aggregates)] "
         "[--sample-datatypes] [--seed N] [--bucket B --tables T] "
         "[--threads N (0 = all cores; PGHIVE_THREADS env fallback)] "
-        "[--feed-shards N (signature shards per feed batch; output is "
-        "byte-identical at any value; PGHIVE_FEED_SHARDS env fallback)] "
         "[--metrics-out m.jsonl] [--trace-out trace.json] [--progress] "
         "[--log-level debug|info|warning|error] [--log-json]");
   }
@@ -467,38 +463,6 @@ Status CmdInspectState(const Args& args, std::ostream& out) {
           << " node types/" << snap->schema.edge_types.size()
           << " edge types\n"
           << "  options: " << snap->options_summary << "\n";
-      if (snap->shard_plan_fingerprint != 0) {
-        char fp[24];
-        std::snprintf(
-            fp, sizeof(fp), "%016llx",
-            static_cast<unsigned long long>(snap->shard_plan_fingerprint));
-        out << "  shard plan: feed_shards=" << snap->feed_shards
-            << "  fingerprint=" << fp << "\n";
-        if (snap->feed_shards > 1) {
-          // Per-shard instance counts, reconstructed from the persisted
-          // graph under the persisted layout — shows how evenly the
-          // signature hash spreads this dataset across feed shards.
-          const ShardPlan plan(static_cast<int>(snap->feed_shards));
-          const GraphSymbols& sym = snap->graph.symbols();
-          std::vector<uint64_t> node_counts(plan.num_shards(), 0);
-          std::vector<uint64_t> edge_counts(plan.num_shards(), 0);
-          for (size_t i = 0; i < snap->graph.num_nodes(); ++i) {
-            ++node_counts[plan.ShardOf(sym.node_signatures.shard_key(
-                snap->graph.node(i).signature))];
-          }
-          for (size_t i = 0; i < snap->graph.num_edges(); ++i) {
-            ++edge_counts[plan.ShardOf(sym.edge_signatures.shard_key(
-                snap->graph.edge(i).signature))];
-          }
-          for (size_t s = 0; s < plan.num_shards(); ++s) {
-            out << "    shard " << s << ": " << node_counts[s]
-                << " node instance(s), " << edge_counts[s]
-                << " edge instance(s)\n";
-          }
-        }
-      } else {
-        out << "  shard plan: none (pre-shard snapshot)\n";
-      }
     } else {
       out << "  not loadable: " << snap.status().message() << "\n";
     }
@@ -754,8 +718,7 @@ Status CmdServe(const Args& args, std::ostream& out) {
         "/v1/graphs/<name>/alerts)] "
         "[--access-log FILE (per-request JSONL)] "
         "[--metrics-format jsonl|prometheus (default GET /metrics format)] "
-        "[--force-options] [discovery flags as for `discover`, incl. "
-        "--feed-shards N for sharded ingest folds]\n"
+        "[--force-options] [discovery flags as for `discover`]\n"
         "hosts each state directory as /v1/graphs/<name>, ingesting batches "
         "over HTTP and serving epoch-snapshot schema reads until SIGINT/"
         "SIGTERM, then drains and checkpoints every graph.");
@@ -952,10 +915,8 @@ std::string HelpText() {
       << "\n"
       << "parallelism (discover/resume/serve):\n"
       << "  --threads N          worker threads (0 = all cores;\n"
-      << "                       PGHIVE_THREADS env fallback)\n"
-      << "  --feed-shards N      signature shards per feed batch; output is\n"
-      << "                       byte-identical at any shard/thread count\n"
-      << "                       (PGHIVE_FEED_SHARDS env fallback)\n";
+      << "                       PGHIVE_THREADS env fallback); output is\n"
+      << "                       byte-identical at any thread count\n";
   return out.str();
 }
 

@@ -313,90 +313,6 @@ bool SchemaAggregates::FoldNew(const PropertyGraph& g,
   return ok;
 }
 
-bool SchemaAggregates::FoldNewSharded(const PropertyGraph& g,
-                                      const SchemaGraph& schema,
-                                      const ShardPlan& plan,
-                                      ThreadPool* pool) {
-  if (!plan.sharded()) return FoldNew(g, schema);
-  bool ok = node_types.size() <= schema.node_types.size() &&
-            edge_types.size() <= schema.edge_types.size();
-  node_types.resize(schema.node_types.size());
-  edge_types.resize(schema.edge_types.size());
-  const GraphSymbols& sym = g.symbols();
-
-  // Route each new (type, position) to its element's signature shard. The
-  // routing scan visits instances in the sequential fold's order, so every
-  // shard's item list is ascending (type, position) — each partial is the
-  // sequential fold restricted to that shard's elements.
-  const size_t num_shards = plan.num_shards();
-  struct Item {
-    size_t type;
-    size_t pos;
-  };
-  std::vector<std::vector<Item>> node_items(num_shards);
-  std::vector<std::vector<Item>> edge_items(num_shards);
-  for (size_t i = 0; i < node_types.size(); ++i) {
-    const SchemaNodeType& t = schema.node_types[i];
-    TypeAggregate& a = node_types[i];
-    if (a.folded > t.instances.size()) {
-      ok = false;  // instance list shrank below the watermark
-      continue;
-    }
-    for (size_t j = a.folded; j < t.instances.size(); ++j) {
-      const Node& n = g.node(t.instances[j]);
-      node_items[plan.ShardOf(sym.node_signatures.shard_key(n.signature))]
-          .push_back({i, j});
-    }
-  }
-  for (size_t i = 0; i < edge_types.size(); ++i) {
-    const SchemaEdgeType& t = schema.edge_types[i];
-    TypeAggregate& a = edge_types[i];
-    if (a.folded > t.instances.size()) {
-      ok = false;
-      continue;
-    }
-    for (size_t j = a.folded; j < t.instances.size(); ++j) {
-      const Edge& e = g.edge(t.instances[j]);
-      edge_items[plan.ShardOf(sym.edge_signatures.shard_key(e.signature))]
-          .push_back({i, j});
-    }
-  }
-
-  // Per-shard partial accumulators, merged in ascending shard order: the
-  // per-type merge order is fixed by the shard count alone, never by the
-  // thread count, and every component merges content-exactly.
-  struct Partial {
-    std::vector<TypeAggregate> nodes;
-    std::vector<TypeAggregate> edges;
-  };
-  ParallelShardFold(
-      pool, num_shards, /*init=*/0,
-      [&](size_t shard) {
-        Partial p;
-        p.nodes.resize(node_types.size());
-        p.edges.resize(edge_types.size());
-        for (const Item& it : node_items[shard]) {
-          FoldElement(sym, g.node(schema.node_types[it.type].instances[it.pos]),
-                      &p.nodes[it.type]);
-        }
-        for (const Item& it : edge_items[shard]) {
-          const Edge& e = g.edge(schema.edge_types[it.type].instances[it.pos]);
-          FoldElement(sym, e, &p.edges[it.type]);
-          FoldEdgeEndpoints(g, e, &p.edges[it.type]);
-        }
-        return p;
-      },
-      [&](int* /*acc*/, size_t /*shard*/, Partial&& p) {
-        for (size_t i = 0; i < p.nodes.size(); ++i) {
-          node_types[i].Merge(p.nodes[i]);
-        }
-        for (size_t i = 0; i < p.edges.size(); ++i) {
-          edge_types[i].Merge(p.edges[i]);
-        }
-      });
-  return ok;
-}
-
 void SchemaAggregates::Merge(const SchemaAggregates& other) {
   if (node_types.size() < other.node_types.size()) {
     node_types.resize(other.node_types.size());

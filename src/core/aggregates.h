@@ -77,7 +77,6 @@
 #include <vector>
 
 #include "core/schema.h"
-#include "core/shard_plan.h"
 #include "graph/property_graph.h"
 #include "runtime/thread_pool.h"
 
@@ -166,17 +165,6 @@ struct SchemaAggregates {
   /// when an instance list SHRANK below its watermark (external deletion) —
   /// the aggregates are then unusable until rebuilt.
   bool FoldNew(const PropertyGraph& g, const SchemaGraph& schema);
-
-  /// Sharded FoldNew — the aggregate leg of the sharded Feed path. The new
-  /// instances are partitioned by signature shard (each element's stored
-  /// signature through plan.ShardOf), per-shard partial accumulators are
-  /// folded by the pool's workers, and partials merge in ascending shard
-  /// order. Content-identical to FoldNew: every component is a commutative
-  /// counted structure or a monotone extremum, so the merged state — and
-  /// everything finalized or serialized from it — matches the sequential
-  /// fold byte for byte. Falls back to FoldNew when the plan is unsharded.
-  bool FoldNewSharded(const PropertyGraph& g, const SchemaGraph& schema,
-                      const ShardPlan& plan, ThreadPool* pool);
 
   /// Index-wise merge for the parallel one-shot build (counts add, maps
   /// union, maxima update on set growth).

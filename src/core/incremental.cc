@@ -33,13 +33,12 @@ Status IncrementalDiscoverer::Feed(const GraphBatch& batch) {
     if (options_.pipeline.aggregate_post_process) {
       // O(batch): folds only the instances this batch appended. A fresh
       // discoverer (or one restored without aggregates) folds everything
-      // assigned so far on its first call. The sharded plan partitions the
-      // fold by signature across the pipeline's pool, merged in shard
-      // order — content-identical to the sequential fold.
-      if (!aggregates_.FoldNewSharded(*batch.graph, schema_,
-                                      pipeline_.shard_plan(),
-                                      pipeline_.thread_pool())) {
-        aggregates_valid_ = false;
+      // assigned so far on its first call.
+      {
+        obs::ScopedSpan fold_span("incremental.fold");
+        if (!aggregates_.FoldNew(*batch.graph, schema_)) {
+          aggregates_valid_ = false;
+        }
       }
       if (obs::MetricsEnabled()) PublishAggregateGauges(aggregates_);
     }
@@ -106,15 +105,15 @@ Status IncrementalDiscoverer::FeedMutations(
     } else {
       retraction_index_.Sync(schema_);
     }
-    PGHIVE_RETURN_NOT_OK(RetractInstancesSharded(
-        *batch.graph, deleted_nodes, deleted_edges, pipeline_.shard_plan(),
-        &schema_, &aggregates_, &retraction_index_, &rstats));
+    PGHIVE_RETURN_NOT_OK(RetractInstances(*batch.graph, deleted_nodes,
+                                          deleted_edges, &schema_,
+                                          &aggregates_, &retraction_index_,
+                                          &rstats));
     // A pure-deletion batch has nothing to embed or cluster.
     if (batch.num_nodes() > 0 || batch.num_edges() > 0) {
       PGHIVE_RETURN_NOT_OK(pipeline_.ProcessBatch(batch, &schema_));
-      if (!aggregates_.FoldNewSharded(*batch.graph, schema_,
-                                      pipeline_.shard_plan(),
-                                      pipeline_.thread_pool())) {
+      obs::ScopedSpan fold_span("incremental.fold");
+      if (!aggregates_.FoldNew(*batch.graph, schema_)) {
         aggregates_valid_ = false;
       }
     }

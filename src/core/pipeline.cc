@@ -4,7 +4,6 @@
 
 #include "cluster/lsh_clusterer.h"
 #include "common/string_util.h"
-#include "lsh/sharded_candidates.h"
 #include "core/cardinality.h"
 #include "core/constraints.h"
 #include "graph/graph_stats.h"
@@ -102,7 +101,7 @@ size_t CountDistinctLabels(const GraphBatch& batch, ElementKind kind) {
 }  // namespace
 
 PgHivePipeline::PgHivePipeline(PipelineOptions options)
-    : options_(options), shard_plan_(options.feed_shards) {}
+    : options_(options) {}
 
 ThreadPool* PgHivePipeline::EnsurePool() const {
   if (pool_) return pool_.get();
@@ -184,23 +183,6 @@ Status PgHivePipeline::ProcessBatch(const GraphBatch& batch,
           SampleMeanDistance(enc.features, enc.sig_of, options_.seed);
       *diag = ComputeAdaptiveParams(profile, kind, options_.adaptive_tuning);
     }
-    // Sharded Feed path: shard of each signature group. Every group maps to
-    // exactly one graph signature (edge encoder groups are FINER than the
-    // edge SignatureId — signature plus endpoint tokens), so any member's
-    // stored signature identifies the group's shard.
-    const GraphSymbols& sym = g.symbols();
-    auto shard_of_reps = [&]() {
-      std::vector<size_t> shard_of(enc.reps.size());
-      for (size_t r = 0; r < enc.reps.size(); ++r) {
-        const size_t id = enc.ids[enc.reps[r]];
-        const uint64_t key =
-            kind == ElementKind::kNode
-                ? sym.node_signatures.shard_key(g.node(id).signature)
-                : sym.edge_signatures.shard_key(g.edge(id).signature);
-        shard_of[r] = shard_plan_.ShardOf(key);
-      }
-      return shard_of;
-    };
     if (options_.method == ClusteringMethod::kElsh) {
       EuclideanLshOptions lsh_opt = options_.elsh;
       if (options_.adaptive_parameters) {
@@ -219,14 +201,6 @@ Status PgHivePipeline::ProcessBatch(const GraphBatch& batch,
         lsh.HashRow(enc.features.row(r), keys.data());
         return keys;
       };
-      if (shard_plan_.sharded()) {
-        // Shard-local hashing + candidate generation, merged in ascending
-        // shard order (lsh/sharded_candidates.h) — same groups, same order.
-        // Shard workers interleave projection and merging, so the
-        // project/hash sub-timings stay 0 on this path.
-        return ShardedClusterGroups(pool, shard_plan_.num_shards(),
-                                    shard_of_reps(), rep_keys_fn, enc.sig_of);
-      }
       std::vector<std::vector<uint64_t>> rep_keys;
       {
         obs::ScopedSpan span(project_span, project_out);
@@ -258,12 +232,6 @@ Status PgHivePipeline::ProcessBatch(const GraphBatch& batch,
           enc.token_begin[r + 1] - enc.token_begin[r], sig.data());
       return lsh.SignatureKey(sig);
     };
-    if (shard_plan_.sharded()) {
-      return ShardedClusterGroups(
-          pool, shard_plan_.num_shards(), shard_of_reps(),
-          [&](size_t r) { return std::vector<uint64_t>{rep_sig_key(r)}; },
-          enc.sig_of);
-    }
     std::vector<uint64_t> rep_keys;
     {
       obs::ScopedSpan span(project_span, project_out);

@@ -18,7 +18,6 @@
 #include "core/feature_encoder.h"
 #include "core/datatype_inference.h"
 #include "core/schema.h"
-#include "core/shard_plan.h"
 #include "core/type_extraction.h"
 #include "graph/property_graph.h"
 #include "lsh/adaptive_params.h"
@@ -76,17 +75,6 @@ struct PipelineOptions {
   /// embeddings.
   int num_threads = 1;
 
-  /// Signature shards for the parallel incremental Feed path (see
-  /// core/shard_plan.h): each batch's clustering, aggregate fold and
-  /// retractions are partitioned by signature across this many shards and
-  /// merged in ascending shard order. The shard count — not the thread
-  /// count — fixes the work partition, so output is bit-identical at any
-  /// parallelism; <= 1 (default) keeps the unsharded sequential code
-  /// paths. Not part of the options fingerprint (output-neutral), but the
-  /// plan fingerprint is persisted in PGHS metadata so resume can verify
-  /// layout stability.
-  int feed_shards = 1;
-
   uint64_t seed = 42;
 };
 
@@ -111,8 +99,7 @@ struct StageTimings {
   // indexing + signature grouping). cluster_*_project is LSH key
   // computation over representatives (ELSH dot-product projections or
   // MinHash permutation min-folds); cluster_*_hash is bucket grouping +
-  // union-find merge + fan-out. The sharded Feed path interleaves project
-  // and hash inside its shard workers, so there the sub-timings stay 0.
+  // union-find merge + fan-out.
   double encode_nodes_embed = 0.0;
   double encode_edges_embed = 0.0;
   double cluster_nodes_project = 0.0;
@@ -177,16 +164,11 @@ class PgHivePipeline {
   /// on the first batch.
   ThreadPool* thread_pool() const { return pool_.get(); }
 
-  /// Signature → shard assignment from options().feed_shards; a 1-shard
-  /// plan (sharded() == false) means the unsharded code paths run.
-  const ShardPlan& shard_plan() const { return shard_plan_; }
-
  private:
   /// Resolves options_.num_threads and creates the pool when > 1.
   ThreadPool* EnsurePool() const;
 
   PipelineOptions options_;
-  ShardPlan shard_plan_;
   // mutable: the const PostProcess records its wall-clock in the timings.
   mutable BatchDiagnostics diagnostics_;
   mutable std::unique_ptr<ThreadPool> pool_;

@@ -228,50 +228,4 @@ Status RetractInstances(const PropertyGraph& g,
   return Status::OK();
 }
 
-Status RetractInstancesSharded(const PropertyGraph& g,
-                               const std::vector<NodeId>& deleted_nodes,
-                               const std::vector<EdgeId>& deleted_edges,
-                               const ShardPlan& plan, SchemaGraph* schema,
-                               SchemaAggregates* aggregates,
-                               RetractionIndex* index,
-                               RetractionStats* stats) {
-  if (!plan.sharded()) {
-    return RetractInstances(g, deleted_nodes, deleted_edges, schema,
-                            aggregates, index, stats);
-  }
-  const GraphSymbols& sym = g.symbols();
-  const size_t num_shards = plan.num_shards();
-  std::vector<std::vector<NodeId>> nodes_of(num_shards);
-  std::vector<std::vector<EdgeId>> edges_of(num_shards);
-  // Ids outside the (append-only) graph can never be owned by a type; fail
-  // them here with the unsharded path's error rather than reading their
-  // signature out of bounds.
-  for (NodeId id : deleted_nodes) {
-    if (id >= g.num_nodes()) {
-      return Status::InvalidArgument("cannot delete node " +
-                                     std::to_string(id) +
-                                     ": unknown or already deleted");
-    }
-    nodes_of[plan.ShardOf(sym.node_signatures.shard_key(g.node(id).signature))]
-        .push_back(id);
-  }
-  for (EdgeId id : deleted_edges) {
-    if (id >= g.num_edges()) {
-      return Status::InvalidArgument("cannot delete edge " +
-                                     std::to_string(id) +
-                                     ": unknown or already deleted");
-    }
-    edges_of[plan.ShardOf(sym.edge_signatures.shard_key(g.edge(id).signature))]
-        .push_back(id);
-  }
-  // Ascending shard order, serially — each sub-call is a consecutive
-  // sequential retraction batch (see the header's equivalence argument).
-  for (size_t shard = 0; shard < num_shards; ++shard) {
-    if (nodes_of[shard].empty() && edges_of[shard].empty()) continue;
-    PGHIVE_RETURN_NOT_OK(RetractInstances(g, nodes_of[shard], edges_of[shard],
-                                          schema, aggregates, index, stats));
-  }
-  return Status::OK();
-}
-
 }  // namespace pghive

@@ -45,7 +45,6 @@
 #include "common/status.h"
 #include "core/aggregates.h"
 #include "core/schema.h"
-#include "core/shard_plan.h"
 #include "graph/property_graph.h"
 
 namespace pghive {
@@ -157,32 +156,6 @@ Status RetractInstances(const PropertyGraph& g,
                         const std::vector<EdgeId>& deleted_edges,
                         SchemaGraph* schema, SchemaAggregates* aggregates,
                         RetractionIndex* index, RetractionStats* stats);
-
-/// Sharded retraction — the mutation leg of the sharded Feed path. Deleted
-/// ids are routed to their element's signature shard (plan + the stored
-/// signature) and each shard's subset is retracted through RetractInstances
-/// in ascending shard order. The shard sub-batches behave exactly like
-/// consecutive sequential batches: compaction is order-preserving, an
-/// extremum rescan that lands on a later shard's still-pending element is
-/// re-triggered when that element retracts, rebuild-then-retract composes
-/// to a survivors-only fold, and a type retires when its LAST instance goes
-/// regardless of which shard carried it — so the final schema + aggregate
-/// state is identical to one unsharded call (drift_equivalence_test pins
-/// this across shard counts). Same-id double deletes stay detected because
-/// equal ids share a signature and therefore a shard. The sub-calls are
-/// deliberately SERIAL: schema types span signatures, so the per-type
-/// accumulators are shared across shards and concurrent mutation would
-/// race; sharding buys deterministic routing here, not parallelism.
-/// RetractionStats may apportion rebuilds/rescans differently than the
-/// unsharded call (observational only). Falls back to a single
-/// RetractInstances call when the plan is unsharded.
-Status RetractInstancesSharded(const PropertyGraph& g,
-                               const std::vector<NodeId>& deleted_nodes,
-                               const std::vector<EdgeId>& deleted_edges,
-                               const ShardPlan& plan, SchemaGraph* schema,
-                               SchemaAggregates* aggregates,
-                               RetractionIndex* index,
-                               RetractionStats* stats);
 
 }  // namespace pghive
 

@@ -11,9 +11,7 @@
 // the batch's new elements and returns the deletion lists for the engine's
 // retraction path (IncrementalDiscoverer::FeedMutations); the deleted
 // elements' bytes stay in the graph as tombstones that no type references.
-// Under a sharded feed plan (core/shard_plan.h) FeedMutations routes those
-// deletion lists to per-signature-shard retraction sub-calls, applied in
-// ascending shard order — equivalent to one sequential call.
+// FeedMutations hands those deletion lists to RetractInstances in one call.
 //
 // NetSurvivingStream is the drift subsystem's ground truth: it converts a
 // mutation stream into the insert-only stream of the elements that SURVIVE

@@ -126,8 +126,8 @@ class SymbolSetPool {
 /// Pool of distinct (label-set, key-set) signatures. Two u32 components
 /// pack into an exact u64 key, so lookups need no collision handling.
 /// Structure-of-arrays: the two components live in parallel vectors, so the
-/// hot per-signature scans (shard routing, encoder grouping) that touch only
-/// one component stream a dense u32 array instead of striding pairs.
+/// hot per-signature scans (encoder grouping) that touch only one component
+/// stream a dense u32 array instead of striding pairs.
 class SignaturePool {
  public:
   SignaturePool() = default;
@@ -139,14 +139,6 @@ class SignaturePool {
   SymbolSetId label_set(SignatureId id) const { return label_sets_[id]; }
   SymbolSetId key_set(SignatureId id) const { return key_sets_[id]; }
 
-  /// Packed content identity of a signature — the same u64 the intern
-  /// index keys on. Set ids are canonical per distinct content, so this is
-  /// stable under re-interning order within one symbol context; it is the
-  /// value ShardPlan::ShardOf hashes to place the signature on a shard.
-  uint64_t shard_key(SignatureId id) const {
-    return (static_cast<uint64_t>(label_sets_[id]) << 32) |
-           static_cast<uint64_t>(key_sets_[id]);
-  }
   size_t size() const { return label_sets_.size(); }
   size_t ApproxBytes() const;
 

@@ -167,34 +167,6 @@ Acc ParallelReduceOrdered(ThreadPool* pool, size_t n, Acc init,
   return acc;
 }
 
-/// Deterministic per-shard fold: shard_fn(shard) builds one shard's partial
-/// (shards run concurrently, one chunk each, so shard-count >
-/// thread-count simply queues the excess), then merge_fn(&acc, shard,
-/// std::move(partial)) is applied in ascending shard order on the calling
-/// thread, starting from `init`. The shard index reaches the merge so
-/// callers can keep per-shard provenance (e.g. shard-tagged accumulators).
-/// Exceptions follow the ParallelForChunks contract: with grain 1 the chunk
-/// index IS the shard index, so the lowest-indexed failing shard's
-/// exception is the one rethrown here. The partial type must be
-/// default-constructible.
-template <typename Acc, typename ShardFn, typename MergeFn>
-Acc ParallelShardFold(ThreadPool* pool, size_t num_shards, Acc init,
-                      ShardFn&& shard_fn, MergeFn&& merge_fn) {
-  if (num_shards == 0) return init;
-  using Partial = std::decay_t<decltype(shard_fn(size_t{0}))>;
-  std::vector<Partial> partials(num_shards);
-  ParallelForChunks(pool, num_shards, /*grain=*/1,
-                    [&shard_fn, &partials](size_t shard, size_t /*begin*/,
-                                           size_t /*end*/) {
-                      partials[shard] = shard_fn(shard);
-                    });
-  Acc acc = std::move(init);
-  for (size_t shard = 0; shard < num_shards; ++shard) {
-    merge_fn(&acc, shard, std::move(partials[shard]));
-  }
-  return acc;
-}
-
 }  // namespace pghive
 
 #endif  // PGHIVE_RUNTIME_PARALLEL_H_

@@ -22,11 +22,6 @@ std::string EncodeMeta(const StoreSnapshot& s) {
   w.WriteU64(s.applied_batches);
   w.WriteU64(s.options_fingerprint);
   w.WriteString(s.options_summary);
-  // Shard-plan layout (appended in PR 9): readers that predate it ignore
-  // trailing meta bytes, and DecodeMeta below tolerates their absence, so
-  // the extension is compatible in both directions.
-  w.WriteU32(s.feed_shards);
-  w.WriteU64(s.shard_plan_fingerprint);
   return std::move(w).Take();
 }
 
@@ -35,9 +30,12 @@ Status DecodeMeta(const std::string& payload, StoreSnapshot* s) {
   PGHIVE_ASSIGN_OR_RETURN(s->applied_batches, r.ReadU64());
   PGHIVE_ASSIGN_OR_RETURN(s->options_fingerprint, r.ReadU64());
   PGHIVE_ASSIGN_OR_RETURN(s->options_summary, r.ReadString());
+  // Files written while signature-sharded feeds existed append a u32 shard
+  // count and a u64 layout fingerprint. Neither affects output: both are
+  // read (a short tail is still a parse error) and dropped.
   if (r.remaining() > 0) {
-    PGHIVE_ASSIGN_OR_RETURN(s->feed_shards, r.ReadU32());
-    PGHIVE_ASSIGN_OR_RETURN(s->shard_plan_fingerprint, r.ReadU64());
+    PGHIVE_RETURN_NOT_OK(
+        r.ReadBytes(sizeof(uint32_t) + sizeof(uint64_t)).status());
   }
   return Status::OK();
 }

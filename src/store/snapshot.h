@@ -80,15 +80,6 @@ struct StoreSnapshot {
   /// Human-readable options summary for `pghive inspect-state`.
   std::string options_summary;
 
-  /// Shard-plan layout in effect when the snapshot was written (see
-  /// core/shard_plan.h): the configured feed-shard count and the plan's
-  /// stable fingerprint. Output-neutral — resume under a different layout
-  /// still converges to byte-identical schemas — but recovery warns on a
-  /// change so operators can keep the layout stable across restarts.
-  /// Fingerprint 0 marks a file from before the sharded Feed path existed.
-  uint32_t feed_shards = 1;
-  uint64_t shard_plan_fingerprint = 0;
-
   PropertyGraph graph;
   SchemaGraph schema;
   std::vector<double> batch_seconds;

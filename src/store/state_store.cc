@@ -14,8 +14,6 @@
 #include "common/binary_io.h"
 #include "common/csv.h"
 #include "common/hash.h"
-#include "common/logging.h"
-#include "core/shard_plan.h"
 #include "core/value_stats.h"
 #include "drift/replay.h"
 #include "obs/metrics.h"
@@ -98,12 +96,7 @@ uint64_t OptionsFingerprint(const IncrementalOptions& options) {
   const PipelineOptions& p = options.pipeline;
   // Serialize every option that changes discovery output — NOT num_threads
   // (the runtime guarantees thread-count-independent results), so a machine
-  // with a different core count can resume the same state directory. Nor
-  // feed_shards: the sharded Feed path is likewise output-neutral (shard
-  // merge order is fixed by the shard count, and the schema is bit-identical
-  // at any shard count), so resuming under a different shard layout is
-  // allowed — Recover only WARNS on a layout change via the persisted
-  // shard-plan fingerprint.
+  // with a different core count can resume the same state directory.
   BinaryWriter w;
   w.WriteU8(static_cast<uint8_t>(p.method));
   w.WriteU8(static_cast<uint8_t>(p.embedding.backend));
@@ -307,19 +300,6 @@ Status DurableDiscoverer::Recover(RecoveryReport* report) {
           "); replaying it under the current options would diverge from "
           "the original run");
     }
-    // Shard-plan changes are output-neutral (the shard-order merge is
-    // byte-identical at any layout), so a mismatch only warrants a warning:
-    // operators who keep the layout stable get comparable per-shard stats
-    // across restarts.
-    const ShardPlan current_plan(options_.incremental.pipeline.feed_shards);
-    if (snap->shard_plan_fingerprint != 0 &&
-        snap->shard_plan_fingerprint != current_plan.Fingerprint()) {
-      PGHIVE_LOG(kWarning)
-          << "shard plan changed across restart (snapshot had "
-          << snap->feed_shards << " feed shards, now "
-          << current_plan.num_shards()
-          << "); output is unaffected but per-shard stats reset";
-    }
     report->snapshot_path = path;
     report->snapshot_batches = snap->applied_batches;
     applied_batches_ = snap->applied_batches;
@@ -493,9 +473,6 @@ StoreSnapshot DurableDiscoverer::BuildSnapshot() const {
   snap.applied_batches = applied_batches_;
   snap.options_fingerprint = fingerprint_;
   snap.options_summary = OptionsSummary(options_.incremental);
-  const ShardPlan plan(options_.incremental.pipeline.feed_shards);
-  snap.feed_shards = static_cast<uint32_t>(plan.num_shards());
-  snap.shard_plan_fingerprint = plan.Fingerprint();
   snap.graph = graph_;
   snap.schema = engine_.schema();
   snap.batch_seconds = engine_.batch_seconds();

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <climits>
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "cli/args.h"
 #include "cli/commands.h"
@@ -44,6 +48,31 @@ TEST(ArgsTest, UnknownFlags) {
   auto unknown = args.UnknownFlags({"known"});
   ASSERT_EQ(unknown.size(), 1u);
   EXPECT_EQ(unknown[0], "typo");
+}
+
+// --threads takes a plain non-negative decimal that fits in an int. The
+// atoll-style parse it replaced read "abc" as 0 (every hardware thread),
+// "2x" as 2 and 4294967297 as 1; each is now an error naming the flag.
+TEST(ArgsTest, ThreadsParseStrictly) {
+  for (const auto& [text, want] :
+       std::vector<std::pair<std::string, int>>{
+           {"0", 0}, {"1", 1}, {"8", 8}, {"007", 7}, {"2147483647", INT_MAX}}) {
+    SCOPED_TRACE(text);
+    Result<int> threads = MakeArgs({"cmd", "--threads", text}).GetThreads();
+    ASSERT_TRUE(threads.ok()) << threads.status();
+    EXPECT_EQ(*threads, want);
+  }
+  for (const char* text : {"abc", "2x", "4294967297", "2147483648", "-1",
+                           "-0", "+2", " 3", "3 ", "1.5", "0x4", ""}) {
+    SCOPED_TRACE(std::string("'") + text + "'");
+    Result<int> threads =
+        MakeArgs({"cmd", std::string("--threads=") + text}).GetThreads();
+    ASSERT_FALSE(threads.ok());
+    EXPECT_EQ(threads.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(threads.status().message().find("--threads"), std::string::npos);
+  }
+  // A bare --threads carries the value "true".
+  EXPECT_FALSE(MakeArgs({"cmd", "--threads"}).GetThreads().ok());
 }
 
 // ---------- commands ----------
@@ -118,6 +147,8 @@ TEST_F(CliTest, DiscoverRejectsBadFlags) {
   Run({"discover", prefix_, "--method", "quantum"}, &s);
   EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
   Run({"discover", prefix_, "--theta", "1.5"}, &s);
+  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
+  Run({"discover", prefix_, "--threads", "abc"}, &s);
   EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
   Run({"discover"}, &s);
   EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);

@@ -132,7 +132,8 @@ std::string InternedBytes(const PropertyGraph& g) {
        {&g.symbols().node_signatures, &g.symbols().edge_signatures}) {
     w.WriteU64(pool->size());
     for (SignatureId s = 0; s < pool->size(); ++s) {
-      w.WriteU64(pool->shard_key(s));
+      w.WriteU32(pool->label_set(s));
+      w.WriteU32(pool->key_set(s));
     }
   }
   for (const Node& n : g.nodes()) w.WriteU32(n.signature);

@@ -4,9 +4,8 @@
 // byte, as schema JSON — as one-shot incremental discovery of the stream's
 // net surviving elements (drift::NetSurvivingStream, same batch
 // boundaries). Exercised for every evolution scenario under both LSH
-// clustering backends, both thread counts and three feed-shard layouts
-// (the signature-sharded retraction/fold path of core/shard_plan.h), plus
-// durable-store variants with a mid-stream crash + recovery.
+// clustering backends and both thread counts, plus durable-store variants
+// with a mid-stream crash + recovery.
 
 #include <filesystem>
 #include <memory>
@@ -79,14 +78,13 @@ SchemaGraph DiscoverSurvivors(const std::vector<MutationBatch>& stream,
 }
 
 using EquivalenceParam =
-    std::tuple<std::string, ClusteringMethod, int /*threads*/,
-               int /*feed_shards*/>;
+    std::tuple<std::string, ClusteringMethod, int /*threads*/>;
 
 class DriftEquivalenceTest
     : public ::testing::TestWithParam<EquivalenceParam> {};
 
 TEST_P(DriftEquivalenceTest, StreamSchemaMatchesSurvivorSchema) {
-  const auto& [scenario_name, method, threads, shards] = GetParam();
+  const auto& [scenario_name, method, threads] = GetParam();
   auto scenario = MakeEvolutionScenario(scenario_name);
   ASSERT_TRUE(scenario.ok()) << scenario.status();
 
@@ -94,7 +92,6 @@ TEST_P(DriftEquivalenceTest, StreamSchemaMatchesSurvivorSchema) {
   opt.pipeline.embedding.backend = EmbeddingBackend::kHash;
   opt.pipeline.method = method;
   opt.pipeline.num_threads = threads;
-  opt.pipeline.feed_shards = shards;
 
   const SchemaGraph streamed = DiscoverMutationStream(scenario->stream, opt);
   const SchemaGraph survivors = DiscoverSurvivors(scenario->stream, opt);
@@ -107,8 +104,7 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::ValuesIn(EvolutionScenarioNames()),
                        ::testing::Values(ClusteringMethod::kElsh,
                                          ClusteringMethod::kMinHash),
-                       ::testing::Values(1, 8),
-                       ::testing::Values(1, 4, 16)),
+                       ::testing::Values(1, 8)),
     [](const ::testing::TestParamInfo<EquivalenceParam>& info) {
       std::string name = std::get<0>(info.param);
       for (char& c : name) {
@@ -117,7 +113,6 @@ INSTANTIATE_TEST_SUITE_P(
       name += std::get<1>(info.param) == ClusteringMethod::kElsh ? "_elsh"
                                                                  : "_minhash";
       name += "_t" + std::to_string(std::get<2>(info.param));
-      name += "_s" + std::to_string(std::get<3>(info.param));
       return name;
     });
 
@@ -153,67 +148,58 @@ std::string DurableFinish(store::DurableDiscoverer* store) {
 }
 
 TEST(DriftDurableEquivalenceTest, RecoveredMidStreamRunMatchesUninterrupted) {
-  // feed_shards=16 routes journal replay through the sharded retraction/fold
-  // path — crash recovery must land on the same bytes as the unsharded run.
-  for (int shards : {1, 16}) {
-    store::StoreOptions store_opt = FastStoreOptions();
-    store_opt.incremental.pipeline.feed_shards = shards;
-    const std::string tag = "_s" + std::to_string(shards);
-    for (const EvolutionScenario& scenario : AllEvolutionScenarios()) {
-      SCOPED_TRACE(scenario.name + tag);
-      const std::vector<MutationBatch>& stream = scenario.stream;
-      const size_t cut = stream.size() / 2;
-      ASSERT_GT(cut, 0u);
+  const store::StoreOptions store_opt = FastStoreOptions();
+  for (const EvolutionScenario& scenario : AllEvolutionScenarios()) {
+    SCOPED_TRACE(scenario.name);
+    const std::vector<MutationBatch>& stream = scenario.stream;
+    const size_t cut = stream.size() / 2;
+    ASSERT_GT(cut, 0u);
 
-      // Uninterrupted durable run.
-      const std::string base_dir = TestDir(scenario.name + tag + "_base");
-      std::string uninterrupted;
-      {
-        auto store =
-            store::DurableDiscoverer::OpenOrRecover(base_dir, store_opt);
-        ASSERT_TRUE(store.ok()) << store.status();
-        for (const MutationBatch& mb : stream) {
-          ASSERT_TRUE((*store)->Feed(mb).ok());
-        }
-        uninterrupted = DurableFinish(store->get());
+    // Uninterrupted durable run.
+    const std::string base_dir = TestDir(scenario.name + "_base");
+    std::string uninterrupted;
+    {
+      auto store = store::DurableDiscoverer::OpenOrRecover(base_dir, store_opt);
+      ASSERT_TRUE(store.ok()) << store.status();
+      for (const MutationBatch& mb : stream) {
+        ASSERT_TRUE((*store)->Feed(mb).ok());
       }
-
-      // Crash after the cut: the batch at `cut` is journaled but NOT applied
-      // (the exact crash window between append and apply), then the process
-      // dies and a fresh open replays it.
-      const std::string crash_dir = TestDir(scenario.name + tag + "_crash");
-      {
-        auto store =
-            store::DurableDiscoverer::OpenOrRecover(crash_dir, store_opt);
-        ASSERT_TRUE(store.ok()) << store.status();
-        for (size_t i = 0; i < cut; ++i) {
-          ASSERT_TRUE((*store)->Feed(stream[i]).ok());
-        }
-        ASSERT_TRUE((*store)->FeedJournalOnly(stream[cut]).ok());
-        // Dropped without a checkpoint: recovery must replay from the
-        // journal.
-      }
-      std::string recovered;
-      {
-        store::RecoveryReport report;
-        auto store = store::DurableDiscoverer::OpenOrRecover(
-            crash_dir, store_opt, &report);
-        ASSERT_TRUE(store.ok()) << store.status();
-        EXPECT_EQ((*store)->batches_applied(), cut + 1);
-        EXPECT_GE(report.replayed_batches, 1u);
-        for (size_t i = cut + 1; i < stream.size(); ++i) {
-          ASSERT_TRUE((*store)->Feed(stream[i]).ok());
-        }
-        recovered = DurableFinish(store->get());
-      }
-      EXPECT_EQ(recovered, uninterrupted);
-
-      // And both equal the engine-level survivors replay (always computed
-      // unsharded — the shard layout must not leak into the output).
-      store::StoreOptions opt = FastStoreOptions();
-      const SchemaGraph survivors = DiscoverSurvivors(stream, opt.incremental);
-      EXPECT_EQ(uninterrupted, SchemaToJson(survivors));
+      uninterrupted = DurableFinish(store->get());
     }
+
+    // Crash after the cut: the batch at `cut` is journaled but NOT applied
+    // (the exact crash window between append and apply), then the process
+    // dies and a fresh open replays it.
+    const std::string crash_dir = TestDir(scenario.name + "_crash");
+    {
+      auto store =
+          store::DurableDiscoverer::OpenOrRecover(crash_dir, store_opt);
+      ASSERT_TRUE(store.ok()) << store.status();
+      for (size_t i = 0; i < cut; ++i) {
+        ASSERT_TRUE((*store)->Feed(stream[i]).ok());
+      }
+      ASSERT_TRUE((*store)->FeedJournalOnly(stream[cut]).ok());
+      // Dropped without a checkpoint: recovery must replay from the journal.
+    }
+    std::string recovered;
+    {
+      store::RecoveryReport report;
+      auto store = store::DurableDiscoverer::OpenOrRecover(crash_dir,
+                                                           store_opt, &report);
+      ASSERT_TRUE(store.ok()) << store.status();
+      EXPECT_EQ((*store)->batches_applied(), cut + 1);
+      EXPECT_GE(report.replayed_batches, 1u);
+      for (size_t i = cut + 1; i < stream.size(); ++i) {
+        ASSERT_TRUE((*store)->Feed(stream[i]).ok());
+      }
+      recovered = DurableFinish(store->get());
+    }
+    EXPECT_EQ(recovered, uninterrupted);
+
+    // And both equal the engine-level survivors replay.
+    const SchemaGraph survivors =
+        DiscoverSurvivors(stream, store_opt.incremental);
+    EXPECT_EQ(uninterrupted, SchemaToJson(survivors));
   }
 }
 

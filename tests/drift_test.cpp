@@ -302,6 +302,48 @@ TEST(FeedMutationsTest, DoubleDeleteAcrossBatchesIsInvalidArgument) {
   EXPECT_EQ(again.code(), StatusCode::kInvalidArgument);
 }
 
+// Every delete the retraction index cannot resolve is rejected with the
+// same error: ids past the end of the graph, an id repeated within one
+// batch, and an id an earlier batch already retracted.
+TEST(FeedMutationsTest, UnresolvableDeletesAreInvalidArgument) {
+  PropertyGraph g;
+  MutationBatch b0;
+  b0.nodes = {Node("Person", {}), Node("Person", {})};
+  b0.edges = {Edge(0, 1, "KNOWS"), Edge(1, 0, "KNOWS")};
+  const GraphBatch inserts = drift::ApplyMutationBatch(&g, b0).value().batch;
+  // An empty slice: FeedMutations only retracts.
+  GraphBatch none = inserts;
+  none.node_begin = none.node_end;
+  none.edge_begin = none.edge_end;
+
+  // Each case is a run of deletion batches; only the last one must fail.
+  struct Deletes {
+    std::vector<NodeId> nodes;
+    std::vector<EdgeId> edges;
+  };
+  const std::vector<std::pair<const char*, std::vector<Deletes>>> cases = {
+      {"node id past the graph", {{{g.num_nodes()}, {}}}},
+      {"edge id past the graph", {{{}, {g.num_edges()}}}},
+      {"edge twice in one batch", {{{}, {0, 0}}}},
+      {"edge deleted by an earlier batch", {{{}, {0}}, {{}, {0}}}},
+  };
+  for (const auto& [name, batches] : cases) {
+    SCOPED_TRACE(name);
+    IncrementalDiscoverer engine(FastOptions());
+    ASSERT_TRUE(engine.Feed(inserts).ok());
+    for (size_t i = 0; i + 1 < batches.size(); ++i) {
+      ASSERT_TRUE(
+          engine.FeedMutations(none, batches[i].nodes, batches[i].edges).ok());
+    }
+    const Status s = engine.FeedMutations(none, batches.back().nodes,
+                                          batches.back().edges);
+    EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(s.message().find("unknown or already deleted"),
+              std::string::npos)
+        << s;
+  }
+}
+
 TEST(FeedMutationsTest, RequiresAggregatePostProcessing) {
   IncrementalOptions opt = FastOptions();
   opt.pipeline.aggregate_post_process = false;

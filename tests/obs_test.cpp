@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
 #include <string>
 #include <thread>
@@ -11,6 +12,7 @@
 
 #include "common/json.h"
 #include "common/logging.h"
+#include "core/incremental.h"
 #include "core/pipeline.h"
 #include "core/schema_json.h"
 #include "datagen/datasets.h"
@@ -374,6 +376,24 @@ TEST_F(ObsTest, PipelineSpansCoverEveryStage) {
   const StageTimings& t = pipeline.last_diagnostics().timings;
   EXPECT_GT(t.encode_nodes, 0.0);
   EXPECT_GT(t.cluster_nodes, 0.0);
+
+  // An incremental Feed adds one incremental.fold per batch, nested in
+  // that batch's incremental.batch span.
+  Tracer::Global().Clear();
+  IncrementalDiscoverer disc((IncrementalOptions()));
+  for (const GraphBatch& batch : SplitIntoBatches(g, 3)) {
+    ASSERT_TRUE(disc.Feed(batch).ok());
+  }
+  std::map<uint64_t, std::string> name_of;
+  const std::vector<SpanEvent> spans = Tracer::Global().CollectSpans();
+  for (const auto& s : spans) name_of[s.id] = s.name;
+  size_t folds = 0;
+  for (const auto& s : spans) {
+    if (s.name != "incremental.fold") continue;
+    ++folds;
+    EXPECT_EQ(name_of[s.parent], "incremental.batch");
+  }
+  EXPECT_EQ(folds, 3u);
 }
 
 // --- Prometheus exposition (obs/export.h). ---

@@ -12,6 +12,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/incremental.h"
 #include "core/pipeline.h"
 #include "core/schema_json.h"
 #include "core/value_stats.h"
@@ -164,92 +165,6 @@ TEST(ParallelReduceOrderedTest, SumMatchesAccumulate) {
   EXPECT_EQ(got, static_cast<long long>(n) * (n - 1) / 2);
 }
 
-TEST(ParallelShardFoldTest, EqualsSequentialShardOrderMerge) {
-  // Non-commutative merge (string concatenation): any deviation from the
-  // ascending-shard merge order changes the result.
-  const size_t num_shards = 13;
-  std::string expected;
-  for (size_t s = 0; s < num_shards; ++s) {
-    expected += std::to_string(s) + ";";
-  }
-  for (int threads : {0, 1, 2, 8}) {
-    std::unique_ptr<ThreadPool> pool;
-    if (threads > 0) pool = std::make_unique<ThreadPool>(threads);
-    const std::string got = ParallelShardFold(
-        pool.get(), num_shards, std::string(),
-        [](size_t shard) { return std::to_string(shard) + ";"; },
-        [](std::string* acc, size_t shard, std::string&& part) {
-          EXPECT_EQ(part, std::to_string(shard) + ";");
-          *acc += part;
-        });
-    EXPECT_EQ(got, expected) << "threads=" << threads;
-  }
-}
-
-TEST(ParallelShardFoldTest, ZeroShardsReturnsInit) {
-  ThreadPool pool(2);
-  const int got = ParallelShardFold(
-      &pool, 0, 42, [](size_t) { return 1; },
-      [](int* acc, size_t, int part) { *acc += part; });
-  EXPECT_EQ(got, 42);
-}
-
-TEST(ParallelShardFoldTest, EmptyShardsMergeAsIdentity) {
-  // Shards whose worker returns an empty partial must still be merged (in
-  // order) without disturbing the accumulated result — the incremental
-  // engine routinely sees batches that touch only a few shards.
-  ThreadPool pool(4);
-  const std::string got = ParallelShardFold(
-      &pool, 10, std::string(),
-      [](size_t shard) {
-        return shard % 3 == 0 ? std::to_string(shard) : std::string();
-      },
-      [](std::string* acc, size_t, std::string&& part) { *acc += part; });
-  EXPECT_EQ(got, "0369");
-}
-
-TEST(ParallelShardFoldTest, MidShardExceptionPropagates) {
-  // Shards 2 and 11 both throw; the rethrown exception must be the lowest
-  // shard's (shard index == chunk index at grain 1), and no partial merge
-  // may have leaked into the accumulator path.
-  ThreadPool pool(4);
-  std::string message;
-  try {
-    ParallelShardFold(
-        &pool, 16, 0,
-        [](size_t shard) -> int {
-          if (shard == 2) throw std::runtime_error("low shard");
-          if (shard == 11) throw std::runtime_error("high shard");
-          return 1;
-        },
-        [](int* acc, size_t, int part) { *acc += part; });
-    FAIL() << "expected an exception";
-  } catch (const std::runtime_error& e) {
-    message = e.what();
-  }
-  EXPECT_EQ(message, "low shard");
-}
-
-TEST(ParallelShardFoldTest, OversubscribedShardCount) {
-  // Far more shards than workers: excess shard tasks queue on the pool and
-  // every shard still runs exactly once, merged in ascending order.
-  ThreadPool pool(4);
-  const size_t num_shards = 64;
-  std::vector<std::atomic<int>> runs(num_shards);
-  long long got = ParallelShardFold(
-      &pool, num_shards, 0LL,
-      [&runs](size_t shard) {
-        runs[shard].fetch_add(1);
-        return static_cast<long long>(shard);
-      },
-      [](long long* acc, size_t, long long part) { *acc += part; });
-  EXPECT_EQ(got,
-            static_cast<long long>(num_shards) * (num_shards - 1) / 2);
-  for (size_t s = 0; s < num_shards; ++s) {
-    EXPECT_EQ(runs[s].load(), 1) << "shard " << s;
-  }
-}
-
 // --- Pipeline determinism: the tentpole invariant. ---
 
 std::string DiscoverFingerprint(const PropertyGraph& g, ClusteringMethod m,
@@ -331,6 +246,27 @@ TEST(PipelineParallelismTest, StageTimingsPopulated) {
   EXPECT_GT(t.encode_edges, 0.0);
   EXPECT_GT(t.cluster_edges, 0.0);
   EXPECT_GT(t.post_process, 0.0);
+  EXPECT_GT(t.cluster_nodes_project, 0.0);
+  EXPECT_GT(t.cluster_nodes_hash, 0.0);
+  EXPECT_GT(t.cluster_edges_project, 0.0);
+  EXPECT_GT(t.cluster_edges_hash, 0.0);
+
+  // The incremental Feed clusters through the same path, so its batches
+  // fill the project/hash sub-timings too, at any thread count.
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE(threads);
+    IncrementalOptions opt;
+    opt.pipeline.num_threads = threads;
+    IncrementalDiscoverer disc(opt);
+    for (const GraphBatch& batch : SplitIntoBatches(g, 4)) {
+      ASSERT_TRUE(disc.Feed(batch).ok());
+      const StageTimings& bt = disc.last_diagnostics().timings;
+      EXPECT_GT(bt.cluster_nodes_project, 0.0);
+      EXPECT_GT(bt.cluster_nodes_hash, 0.0);
+      EXPECT_GT(bt.cluster_edges_project, 0.0);
+      EXPECT_GT(bt.cluster_edges_hash, 0.0);
+    }
+  }
 }
 
 TEST(PipelineParallelismTest, ValueStatsIdenticalWithPool) {

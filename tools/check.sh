@@ -20,12 +20,9 @@
 #
 # The full run additionally re-records the micro_pipeline per-stage
 # baseline and fails when 1-thread encode+cluster regresses more than 10%
-# against the committed BENCH_pipeline.json, gates the micro_drift
+# against the committed BENCH_pipeline.json, and gates the micro_drift
 # mutation-batch series on last-4 <= 2x first-4 flatness (retractable
-# aggregates must keep mutation batches O(batch)), and requires the
-# 8-thread signature-sharded Feed to be >= 1.5x faster than 1-thread on
-# multicore hosts (skipped with a warning on single-core hosts, where the
-# bench marks multi-thread entries "degraded"). The hot-path gate requires
+# aggregates must keep mutation batches O(batch)). The hot-path gate requires
 # 1-thread encode+cluster to hold >= 1.5x over the pinned pre-SoA baseline
 # (bench/BASELINE_pre_soa.json) on AVX2 hosts (warn-skip otherwise), and a
 # scalar-vs-SIMD leg requires PGHIVE_SIMD=off and =on discoveries to emit
@@ -143,39 +140,6 @@ if tail > max(head, floor) * 2.0:
         f"{head * 1e3:.3f} ms to {tail * 1e3:.3f} ms across the stream — "
         f"delta maintenance is no longer O(batch)")
 
-# Sharded-Feed scaling gate: the signature-sharded incremental feed must
-# actually parallelize. On a multicore host the 8-thread sharded feed is
-# required to run in at most 1/1.5 of the 1-thread time (min over the 3
-# recordings, same estimator as above). Single-core hosts mark the
-# multi-thread entries "degraded" — there the ratio only measures pool
-# overhead, so the gate is skipped with a warning.
-sharded = [d.get("sharded_feed") for d in fresh]
-if any(x is None for x in sharded):
-    raise SystemExit("no 'sharded_feed' section in the fresh baseline; "
-                     "bench/micro_pipeline is out of date")
-def feed_seconds(doc, threads):
-    for run in doc["runs"]:
-        if run["threads"] == threads:
-            return run["feed_seconds"]
-    raise SystemExit(f"no {threads}-thread sharded feed run")
-sf1 = min(feed_seconds(d, 1) for d in sharded)
-sf8 = min(feed_seconds(d, 8) for d in sharded)
-hw = fresh[0].get("hardware_threads", 1)
-if sf1 <= 0 or sf8 <= 0:
-    raise SystemExit("sharded feed bench failed (non-positive timing)")
-if hw <= 1:
-    print(f"sharded feed: 1t {sf1 * 1e3:.1f} ms, 8t {sf8 * 1e3:.1f} ms — "
-          f"WARNING: single-core host (hardware_threads={hw}), "
-          f"scaling gate skipped")
-else:
-    speedup = sf1 / sf8
-    print(f"sharded feed: 1t {sf1 * 1e3:.1f} ms, 8t {sf8 * 1e3:.1f} ms, "
-          f"speedup {speedup:.2f}x")
-    if speedup < 1.5:
-        raise SystemExit(
-            f"SHARDED SCALING REGRESSION: the 8-thread sharded feed is only "
-            f"{speedup:.2f}x faster than 1-thread (requires >= 1.5x on this "
-            f"{hw}-thread host)")
 print("perf guard ok")
 PYEOF
     rm -rf "${perf_tmp}"
@@ -259,11 +223,11 @@ cmake --build build-tsan -j "${JOBS}" \
   drift_equivalence_test pghive_app
 (cd build-tsan && ctest --output-on-failure -j "${JOBS}" \
   -R 'ThreadPool|Parallel|Pipeline|Snapshot|Journal|Durable|Obs|Serve|Drift')
-# Sharded drift equivalence under TSan at the widest layout the suite
-# carries (8 threads x 16 feed shards): per-shard candidate generation,
-# fold partials and retraction routing all race-checked in one pass.
+# Drift equivalence under TSan at the widest thread count the suite
+# carries (8 threads): parallel encode/hash, retraction and the delta fold
+# on the pool, race-checked in one pass.
 (cd build-tsan && ctest --output-on-failure -j "${JOBS}" \
-  -R 'DriftEquivalenceTest.*_t8_s16')
+  -R 'DriftEquivalenceTest.*_t8')
 
 tmpdir="$(mktemp -d)"
 trap 'rm -rf "${tmpdir}"' EXIT
@@ -273,11 +237,6 @@ trap 'rm -rf "${tmpdir}"' EXIT
   --method minhash --sample-datatypes > /dev/null
 ./build-tsan/apps/pghive discover "${tmpdir}/pole" --threads 4 \
   --incremental 5 --state-dir "${tmpdir}/state-tsan" > /dev/null
-# The sharded feed path (16 shards over a 4-thread pool: oversubscribed
-# shard tasks + shard-order merge) under the race detector.
-./build-tsan/apps/pghive discover "${tmpdir}/pole" --threads 4 \
-  --feed-shards 16 --incremental 5 \
-  --state-dir "${tmpdir}/state-tsan-sharded" > /dev/null
 
 echo "=== ASan/UBSan: store + csv + parser tests, durable CLI cycle ==="
 cmake -B build-asan -S . -DPGHIVE_SANITIZE=address,undefined \
@@ -458,6 +417,7 @@ for key in ("name", "ts", "dur", "pid", "tid"):
     assert all(key in e for e in events), f"missing {key}"
 names = {e["name"] for e in events}
 assert "pipeline.batch" in names, names
+assert "incremental.fold" in names, names
 print(f"observability export ok: {len(events)} spans, "
       f"{sorted(types)} metric line types")
 PYEOF
