@@ -262,14 +262,12 @@ JsonObject TimedRun(const PropertyGraph& g, int threads, int reps,
   return run;
 }
 
-/// Streams `g` as `num_batches` batches with per-batch post-processing and
-/// returns the per-batch post-process seconds (delta aggregates on or off).
+/// Streams `g` as `num_batches` batches with per-batch post-processing
+/// and returns the per-batch post-process seconds.
 std::vector<double> IncrementalPostSeconds(const PropertyGraph& g,
-                                           size_t num_batches,
-                                           bool delta_aggregates) {
+                                           size_t num_batches) {
   IncrementalOptions opt;
   opt.post_process_each_batch = true;
-  opt.pipeline.aggregate_post_process = delta_aggregates;
   IncrementalDiscoverer disc(opt);
   for (const GraphBatch& batch : SplitIntoBatches(g, num_batches)) {
     Status s = disc.Feed(batch);
@@ -289,53 +287,38 @@ double Sum(const std::vector<double>& v) {
 }
 
 /// Incremental-scaling record: per-batch post-processing cost of a 32-batch
-/// stream of the largest dataset, delta aggregates vs the O(accumulated)
-/// rescan. The delta series must stay flat (tools/check.sh gates last-batch
-/// vs first-batch growth on this data).
+/// stream of the largest dataset from the delta-maintained aggregates. The
+/// series must stay flat (tools/check.sh gates last-batch vs first-batch
+/// growth on this data).
 JsonObject IncrementalScalingToJson(const PropertyGraph& g,
                                     const std::string& dataset) {
   constexpr size_t kBatches = 32;
-  const std::vector<double> delta =
-      IncrementalPostSeconds(g, kBatches, /*delta_aggregates=*/true);
-  const std::vector<double> rescan =
-      IncrementalPostSeconds(g, kBatches, /*delta_aggregates=*/false);
+  const std::vector<double> delta = IncrementalPostSeconds(g, kBatches);
 
   JsonObject doc;
   doc.emplace("dataset", dataset);
   doc.emplace("batches", static_cast<uint64_t>(kBatches));
-  JsonArray delta_arr, rescan_arr;
+  JsonArray delta_arr;
   for (double s : delta) delta_arr.push_back(s);
-  for (double s : rescan) rescan_arr.push_back(s);
   doc.emplace("post_seconds_delta", std::move(delta_arr));
-  doc.emplace("post_seconds_rescan", std::move(rescan_arr));
   const double delta_total = Sum(delta);
-  const double rescan_total = Sum(rescan);
   doc.emplace("total_delta_seconds", delta_total);
-  doc.emplace("total_rescan_seconds", rescan_total);
-  if (delta_total > 0.0) {
-    doc.emplace("speedup_vs_rescan", rescan_total / delta_total);
-  }
 
-  // JSONL mirror for the CI artifact: one line per batch and mode, plus a
-  // summary line, all in the shared bench metric schema.
-  for (const auto& [mode, series] :
-       {std::pair<const char*, const std::vector<double>&>{"delta", delta},
-        {"rescan", rescan}}) {
-    for (size_t i = 0; i < series.size(); ++i) {
-      JsonObject fields;
-      fields.emplace("dataset", dataset);
-      fields.emplace("mode", mode);
-      fields.emplace("batch", static_cast<uint64_t>(i));
-      fields.emplace("post_seconds", series[i]);
-      std::fprintf(
-          stderr, "%s\n",
-          bench::BenchJsonl("micro_pipeline.incremental", fields).c_str());
-    }
+  // JSONL mirror for the CI artifact: one line per batch, plus a summary
+  // line, all in the shared bench metric schema.
+  for (size_t i = 0; i < delta.size(); ++i) {
+    JsonObject fields;
+    fields.emplace("dataset", dataset);
+    fields.emplace("mode", "delta");
+    fields.emplace("batch", static_cast<uint64_t>(i));
+    fields.emplace("post_seconds", delta[i]);
+    std::fprintf(
+        stderr, "%s\n",
+        bench::BenchJsonl("micro_pipeline.incremental", fields).c_str());
   }
   JsonObject summary;
   summary.emplace("dataset", dataset);
   summary.emplace("total_delta_seconds", delta_total);
-  summary.emplace("total_rescan_seconds", rescan_total);
   std::fprintf(stderr, "%s\n",
                bench::BenchJsonl("micro_pipeline.incremental_total", summary)
                    .c_str());

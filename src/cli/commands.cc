@@ -1,5 +1,7 @@
 #include "cli/commands.h"
 
+#include <algorithm>
+#include <charconv>
 #include <csignal>
 #include <cstdlib>
 #include <chrono>
@@ -7,15 +9,13 @@
 #include <sstream>
 #include <thread>
 
-#include <unordered_set>
-
 #include "common/csv.h"
 #include "common/logging.h"
 #include "common/string_util.h"
 #include "common/timer.h"
-#include "core/deletions.h"
 #include "core/incremental.h"
 #include "drift/drift_tracker.h"
+#include "drift/replay.h"
 #include "core/label_alias.h"
 #include "core/pipeline.h"
 #include "core/schema_diff.h"
@@ -152,7 +152,6 @@ Result<PipelineOptions> PipelineOptionsFromArgs(const Args& args) {
   }
   opt.extraction.jaccard_threshold = theta;
   opt.post_process = !args.GetBool("no-post", false);
-  opt.aggregate_post_process = !args.GetBool("no-aggregates", false);
   opt.datatypes.sample = args.GetBool("sample-datatypes", false);
   opt.seed = static_cast<uint64_t>(args.GetInt("seed", 42));
   PGHIVE_ASSIGN_OR_RETURN(opt.num_threads, args.GetThreads());
@@ -164,34 +163,139 @@ Result<PipelineOptions> PipelineOptionsFromArgs(const Args& args) {
   return opt;
 }
 
+/// Parses a --deletions file into a deletion-only mutation batch. Each
+/// record is exactly `node <id>` or `edge <id>`, where <id> is a complete
+/// unsigned decimal (the CSV src/tgt rule); `#` starts a comment and blank
+/// lines are skipped. Grammar errors name path:line.
+Result<MutationBatch> ParseDeletionsFile(const std::string& path) {
+  PGHIVE_ASSIGN_OR_RETURN(std::string text, ReadFile(path));
+  std::istringstream in(text);
+  MutationBatch batch;
+  std::string line;
+  size_t lineno = 0;
+  while (std::getline(in, line)) {
+    ++lineno;
+    const size_t hash = line.find('#');
+    if (hash != std::string::npos) line.resize(hash);
+    std::istringstream fields(line);
+    std::string kind, id_text, extra;
+    if (!(fields >> kind)) continue;  // blank / comment-only line
+    fields >> id_text >> extra;
+    const char* end = id_text.data() + id_text.size();
+    uint64_t id = 0;
+    const auto [stop, ec] = std::from_chars(id_text.data(), end, id);
+    if ((kind != "node" && kind != "edge") || ec != std::errc() ||
+        stop != end || !extra.empty()) {
+      return Status::InvalidArgument(
+          path + ":" + std::to_string(lineno) +
+          ": expected 'node <id>' or 'edge <id>' with an unsigned decimal "
+          "id, got '" + std::string(Trim(line)) + "'");
+    }
+    if (kind == "node") {
+      batch.mutations.delete_nodes.push_back(id);
+    } else {
+      batch.mutations.delete_edges.push_back(id);
+    }
+  }
+  return batch;
+}
+
+/// Checks a deletion batch against the whole graph: ApplyMutationBatch
+/// rejects unknown and repeated ids, and a deleted node must take every
+/// incident edge with it (the endpoint-closure contract of
+/// graph/mutations.h, which the engine leaves to its callers). O(edges).
+Result<drift::AppliedBatch> LoadDeletionBatch(const std::string& path,
+                                               PropertyGraph* g) {
+  PGHIVE_ASSIGN_OR_RETURN(MutationBatch batch, ParseDeletionsFile(path));
+  auto applied = drift::ApplyMutationBatch(g, batch);
+  if (!applied.ok()) {
+    return Status(applied.status().code(),
+                  path + ": " + applied.status().message());
+  }
+  std::vector<char> dead_node(g->num_nodes(), 0);
+  for (NodeId id : applied->deleted_nodes) dead_node[id] = 1;
+  std::vector<char> dead_edge(g->num_edges(), 0);
+  for (EdgeId id : applied->deleted_edges) dead_edge[id] = 1;
+  for (EdgeId id = 0; id < g->num_edges(); ++id) {
+    const Edge& e = g->edge(id);
+    if (dead_edge[id] || (!dead_node[e.source] && !dead_node[e.target])) {
+      continue;
+    }
+    const NodeId node = dead_node[e.source] ? e.source : e.target;
+    return Status::InvalidArgument(
+        path + ": deleted node " + std::to_string(node) +
+        " keeps incident edge " + std::to_string(id) +
+        "; delete the edge too");
+  }
+  return applied;
+}
+
+/// Feeds `g` to `discoverer` as `batches` batches, reporting progress to
+/// stderr (so --format json on stdout stays clean) when --progress is set.
+Status FeedBatches(const Args& args, const PropertyGraph& g, size_t batches,
+                   IncrementalDiscoverer* discoverer) {
+  const bool progress = args.GetBool("progress", false);
+  const auto splits = SplitIntoBatches(g, batches);
+  size_t fed = 0;
+  for (const auto& batch : splits) {
+    PGHIVE_RETURN_NOT_OK(discoverer->Feed(batch));
+    ++fed;
+    if (progress) {
+      std::cerr << "batch " << fed << "/" << splits.size() << "  nodes="
+                << batch.num_nodes() << " edges=" << batch.num_edges()
+                << "  types=" << discoverer->schema().node_types.size()
+                << "n/" << discoverer->schema().edge_types.size() << "e  "
+                << FormatDouble(discoverer->batch_seconds().back(), 3)
+                << "s\n";
+    }
+  }
+  return Status::OK();
+}
+
 Result<SchemaGraph> DiscoverFromArgs(const Args& args,
                                      const PropertyGraph& g) {
   PGHIVE_ASSIGN_OR_RETURN(PipelineOptions opt, PipelineOptionsFromArgs(args));
   int64_t batches = args.GetInt("incremental", 0);
-  const bool progress = args.GetBool("progress", false);
   if (batches > 1) {
     IncrementalOptions inc;
     inc.pipeline = opt;
     IncrementalDiscoverer discoverer(inc);
-    const auto splits = SplitIntoBatches(g, static_cast<size_t>(batches));
-    size_t fed = 0;
-    for (const auto& batch : splits) {
-      PGHIVE_RETURN_NOT_OK(discoverer.Feed(batch));
-      ++fed;
-      if (progress) {
-        // Progress goes to stderr so --format json on stdout stays clean.
-        std::cerr << "batch " << fed << "/" << splits.size() << "  nodes="
-                  << batch.num_nodes() << " edges=" << batch.num_edges()
-                  << "  types=" << discoverer.schema().node_types.size()
-                  << "n/" << discoverer.schema().edge_types.size() << "e  "
-                  << FormatDouble(discoverer.batch_seconds().back(), 3)
-                  << "s\n";
-      }
-    }
+    PGHIVE_RETURN_NOT_OK(
+        FeedBatches(args, g, static_cast<size_t>(batches), &discoverer));
     return discoverer.Finish(g);
   }
   PgHivePipeline pipeline(opt);
   return pipeline.DiscoverSchema(g);
+}
+
+/// `discover --deletions`: discovery through the incremental engine (one
+/// batch, or N with --incremental N), then the file's elements retract as
+/// one deletion-only mutation batch — FeedMutations, the path durable and
+/// served runs take — before the schema is finished.
+Result<SchemaGraph> DiscoverWithDeletions(const Args& args, PropertyGraph* g,
+                                          std::ostream& out) {
+  PGHIVE_ASSIGN_OR_RETURN(PipelineOptions opt, PipelineOptionsFromArgs(args));
+  // Validated before discovery, so a bad file fails fast.
+  PGHIVE_ASSIGN_OR_RETURN(drift::AppliedBatch deletions,
+                          LoadDeletionBatch(args.GetString("deletions"), g));
+  IncrementalOptions inc;
+  inc.pipeline = opt;
+  IncrementalDiscoverer discoverer(inc);
+  const int64_t batches = args.GetInt("incremental", 1);
+  PGHIVE_RETURN_NOT_OK(FeedBatches(
+      args, *g, static_cast<size_t>(std::max<int64_t>(batches, 1)),
+      &discoverer));
+  const size_t node_types = discoverer.schema().node_types.size();
+  const size_t edge_types = discoverer.schema().edge_types.size();
+  PGHIVE_RETURN_NOT_OK(discoverer.FeedMutations(
+      deletions.batch, deletions.deleted_nodes, deletions.deleted_edges));
+  out << "deletions: removed " << deletions.deleted_nodes.size()
+      << " node(s)/" << deletions.deleted_edges.size() << " edge(s), retired "
+      << node_types - discoverer.schema().node_types.size()
+      << " node type(s)/"
+      << edge_types - discoverer.schema().edge_types.size()
+      << " edge type(s)\n";
+  return discoverer.Finish(*g);
 }
 
 void PrintSchemaSummary(const SchemaGraph& schema, const PropertyGraph& g,
@@ -279,33 +383,6 @@ Result<SchemaGraph> DurableDiscoverFromArgs(const Args& args,
   return store->Finish();
 }
 
-/// Parses a --deletions file: one `node <id>` or `edge <id>` per line,
-/// blank lines and `#` comments ignored.
-Status ParseDeletionsFile(const std::string& path,
-                          std::unordered_set<NodeId>* nodes,
-                          std::unordered_set<EdgeId>* edges) {
-  PGHIVE_ASSIGN_OR_RETURN(std::string text, ReadFile(path));
-  std::istringstream in(text);
-  std::string line;
-  size_t lineno = 0;
-  while (std::getline(in, line)) {
-    ++lineno;
-    const size_t hash = line.find('#');
-    if (hash != std::string::npos) line.resize(hash);
-    std::istringstream fields(line);
-    std::string kind;
-    if (!(fields >> kind)) continue;  // blank / comment-only line
-    uint64_t id = 0;
-    if ((kind != "node" && kind != "edge") || !(fields >> id)) {
-      return Status::InvalidArgument(
-          path + ":" + std::to_string(lineno) +
-          ": expected 'node <id>' or 'edge <id>', got '" + line + "'");
-    }
-    (kind == "node" ? nodes : edges)->insert(id);
-  }
-  return Status::OK();
-}
-
 }  // namespace
 
 Status CmdDiscover(const Args& args, std::ostream& out) {
@@ -315,11 +392,10 @@ Status CmdDiscover(const Args& args, std::ostream& out) {
         "[--theta 0.9] [--incremental N] [--state-dir DIR] "
         "[--checkpoint-every N] [--no-fsync] [--force-options] "
         "[--format summary|pgschema|xsd|json] [--mode strict|loose] "
-        "[--deletions file (post-hoc `node <id>`/`edge <id>` lines; not "
-        "with --state-dir)] "
+        "[--deletions file (`node <id>`/`edge <id>` lines, retracted after "
+        "discovery; deleted nodes take their edges along; not with "
+        "--state-dir)] "
         "[--save-schema file.json] [--aliases aliases.txt] [--no-post] "
-        "[--no-aggregates (rescan post-processing instead of delta "
-        "aggregates)] "
         "[--sample-datatypes] [--seed N] [--bucket B --tables T] "
         "[--threads N (0 = all cores; PGHIVE_THREADS env fallback)] "
         "[--metrics-out m.jsonl] [--trace-out trace.json] [--progress] "
@@ -341,22 +417,10 @@ Status CmdDiscover(const Args& args, std::ostream& out) {
     PGHIVE_ASSIGN_OR_RETURN(
         schema,
         DurableDiscoverFromArgs(args, g, args.GetString("state-dir"), out));
+  } else if (args.Has("deletions")) {
+    PGHIVE_ASSIGN_OR_RETURN(schema, DiscoverWithDeletions(args, &g, out));
   } else {
     PGHIVE_ASSIGN_OR_RETURN(schema, DiscoverFromArgs(args, g));
-  }
-
-  if (args.Has("deletions")) {
-    std::unordered_set<NodeId> del_nodes;
-    std::unordered_set<EdgeId> del_edges;
-    PGHIVE_RETURN_NOT_OK(ParseDeletionsFile(args.GetString("deletions"),
-                                            &del_nodes, &del_edges));
-    const DeletionStats stats =
-        ApplyDeletions(g, del_nodes, del_edges, DeletionOptions{}, &schema);
-    out << "deletions: removed " << stats.nodes_removed << " node(s)/"
-        << stats.edges_removed << " edge(s), dropped "
-        << stats.node_types_dropped << " node type(s)/"
-        << stats.edge_types_dropped << " edge type(s), retired "
-        << stats.properties_retired << " property key(s)\n";
   }
 
   if (args.Has("save-schema")) {

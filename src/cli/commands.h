@@ -3,8 +3,8 @@
 // Subcommands (see HelpText() for flags):
 //   discover       CSV graph -> discovered schema (summary/PG-Schema/XSD);
 //                  --state-dir makes the incremental run durable;
-//                  --deletions applies a post-hoc deletion file (superseded
-//                  by mutation streams for durable runs — see src/drift/)
+//                  --deletions retracts a deletion file's elements after
+//                  discovery, through the engine's mutation path
 //   resume         continue a durable run after a stop or crash
 //   inspect-state  report snapshots/journal of a state directory
 //   drift          report the schema-drift history of a state directory

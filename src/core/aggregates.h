@@ -33,12 +33,14 @@
 // ParallelReduceOrdered pass. All components are integer counts, map unions
 // and monotone maxima, so the merged aggregate content — and therefore the
 // finalized schema — is bit-identical at any thread count and identical to
-// the sequential rescan passes (guarded by tests/golden_equivalence_test).
+// the sequential rescan passes kept as a test oracle in tests/rescan_oracle.h
+// (guarded by tests/golden_equivalence_test).
 //
 // NOT delta-maintainable: the datatype sampling mode (the RNG consumes draws
 // in (type, key) order over the concrete value list, which the tally cannot
 // reproduce) and the full value statistics (top-k values, distinct counts,
-// enum domains). Both fall back to their rescan implementations.
+// enum domains). Both keep their value scans (InferDataTypes with
+// options.sample, ComputeValueStats).
 //
 // Retraction (mutation streams): every component is a counted histogram, so
 // elements SUBTRACT as cleanly as they add — key-set counts, per-key
@@ -62,9 +64,10 @@
 //
 // Contract: aggregates track the schema's instance lists exactly — grow via
 // FoldNew, shrink ONLY through the Retract*Element path (core/retraction.h
-// drives it). External schema surgery (core/deletions.h) invalidates them;
-// ConsistentWith detects the mismatch and callers fall back to the rescan
-// passes.
+// drives it; IncrementalDiscoverer::FeedMutations is the one caller). A
+// schema edited any other way no longer matches its aggregates:
+// ConsistentWith detects that, and post-processing then builds transient
+// aggregates from the instance lists instead.
 
 #ifndef PGHIVE_CORE_AGGREGATES_H_
 #define PGHIVE_CORE_AGGREGATES_H_
@@ -87,8 +90,7 @@ inline constexpr size_t kNumDataTypes = 6;
 
 /// Mergeable accumulator for one (type, property key) pair.
 struct PropertyAggregate {
-  /// Instances of the type whose key set contains the key (== the
-  /// CountWithKey sum of the rescan pass).
+  /// Instances of the type whose key set contains the key.
   uint64_t present = 0;
   /// Observed value count per DataType (indexed by the enum value).
   std::array<uint64_t, kNumDataTypes> type_counts{};
@@ -155,15 +157,15 @@ struct SchemaAggregates {
   std::vector<TypeAggregate> edge_types;
 
   /// True when every type's folded count matches its instance count (so
-  /// finalization from this state equals the rescan passes). False after
-  /// external instance-list surgery or for a freshly restored schema whose
-  /// aggregates were never built.
+  /// finalization from this state equals a fresh build). False after
+  /// instance-list edits outside the fold/retract path, or for aggregates
+  /// that were never built.
   bool ConsistentWith(const SchemaGraph& schema) const;
 
   /// Folds every instance appended to `schema`'s types since the last fold
   /// (all of them, for a fresh aggregate). O(new instances). Returns false
-  /// when an instance list SHRANK below its watermark (external deletion) —
-  /// the aggregates are then unusable until rebuilt.
+  /// when an instance list SHRANK below its watermark (an edit outside the
+  /// retraction path) — the aggregates are then unusable until rebuilt.
   bool FoldNew(const PropertyGraph& g, const SchemaGraph& schema);
 
   /// Index-wise merge for the parallel one-shot build (counts add, maps
@@ -234,10 +236,11 @@ TypeAggregate RebuildEdgeAggregate(const PropertyGraph& g,
                                    const SchemaEdgeType& t);
 
 // --- Finalization: write aggregate state into the schema. Each function
-// reproduces its rescan counterpart bit-for-bit (given ConsistentWith);
-// `pool` parallelizes over types. ---
+// reproduces its rescan oracle (tests/rescan_oracle.h) bit-for-bit (given
+// ConsistentWith); `pool` parallelizes over types. ---
 
-/// InferPropertyConstraints from the key-set histograms.
+/// MANDATORY/OPTIONAL from the key-set histograms: a key is MANDATORY iff
+/// every instance carries it; instance-less types keep every key OPTIONAL.
 void FinalizeConstraints(const GraphSymbols& sym, const SchemaAggregates& agg,
                          SchemaGraph* schema, ThreadPool* pool = nullptr);
 
@@ -247,7 +250,7 @@ void FinalizeConstraints(const GraphSymbols& sym, const SchemaAggregates& agg,
 void FinalizeDataTypes(const GraphSymbols& sym, const SchemaAggregates& agg,
                        SchemaGraph* schema, ThreadPool* pool = nullptr);
 
-/// ComputeCardinalities from the degree maxima.
+/// Cardinalities from the exact degree maxima (core/cardinality.h).
 void FinalizeCardinalities(const SchemaAggregates& agg, SchemaGraph* schema,
                            ThreadPool* pool = nullptr);
 

@@ -1,10 +1,5 @@
 #include "core/cardinality.h"
 
-#include <unordered_map>
-#include <unordered_set>
-
-#include "runtime/parallel.h"
-
 namespace pghive {
 
 SchemaCardinality ClassifyCardinality(size_t max_out, size_t max_in) {
@@ -15,36 +10,6 @@ SchemaCardinality ClassifyCardinality(size_t max_out, size_t max_in) {
   if (!out_many && in_many) return SchemaCardinality::kManyToOne;
   if (out_many && !in_many) return SchemaCardinality::kOneToMany;
   return SchemaCardinality::kManyToMany;
-}
-
-void ComputeCardinalities(const PropertyGraph& g, SchemaGraph* schema,
-                          ThreadPool* pool) {
-  // Edge types are disjoint workloads (grain 1: degree-map sizes vary).
-  ParallelFor(
-      pool, schema->edge_types.size(),
-      [&](size_t i) {
-        auto& t = schema->edge_types[i];
-        // Distinct targets per source and distinct sources per target.
-        std::unordered_map<NodeId, std::unordered_set<NodeId>> out_sets;
-        std::unordered_map<NodeId, std::unordered_set<NodeId>> in_sets;
-        for (EdgeId id : t.instances) {
-          const Edge& e = g.edge(id);
-          out_sets[e.source].insert(e.target);
-          in_sets[e.target].insert(e.source);
-        }
-        size_t max_out = 0;
-        for (const auto& [src, tgts] : out_sets) {
-          max_out = std::max(max_out, tgts.size());
-        }
-        size_t max_in = 0;
-        for (const auto& [tgt, srcs] : in_sets) {
-          max_in = std::max(max_in, srcs.size());
-        }
-        t.max_out_degree = max_out;
-        t.max_in_degree = max_in;
-        t.cardinality = ClassifyCardinality(max_out, max_in);
-      },
-      /*grain=*/1);
 }
 
 }  // namespace pghive

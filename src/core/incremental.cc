@@ -30,26 +30,8 @@ Status IncrementalDiscoverer::Feed(const GraphBatch& batch) {
       span.AddAttr("edges", static_cast<uint64_t>(batch.num_edges()));
     }
     PGHIVE_RETURN_NOT_OK(pipeline_.ProcessBatch(batch, &schema_));
-    if (options_.pipeline.aggregate_post_process) {
-      // O(batch): folds only the instances this batch appended. A fresh
-      // discoverer (or one restored without aggregates) folds everything
-      // assigned so far on its first call.
-      {
-        obs::ScopedSpan fold_span("incremental.fold");
-        if (!aggregates_.FoldNew(*batch.graph, schema_)) {
-          aggregates_valid_ = false;
-        }
-      }
-      if (obs::MetricsEnabled()) PublishAggregateGauges(aggregates_);
-    }
-    if (options_.post_process_each_batch) {
-      pipeline_.PostProcessWithAggregates(*batch.graph, AggregatesOrNull(),
-                                          &schema_);
-      post_process_seconds_.push_back(
-          pipeline_.last_diagnostics().timings.post_process);
-    } else {
-      post_process_seconds_.push_back(0.0);
-    }
+    PGHIVE_RETURN_NOT_OK(FoldNew(*batch.graph));
+    PostProcessBatch(*batch.graph);
   }
   batches_total->Add(1);
   if (schema_.node_types.size() > node_types_before) {
@@ -65,16 +47,6 @@ Status IncrementalDiscoverer::Feed(const GraphBatch& batch) {
 Status IncrementalDiscoverer::FeedMutations(
     const GraphBatch& batch, const std::vector<NodeId>& deleted_nodes,
     const std::vector<EdgeId>& deleted_edges) {
-  if (!options_.pipeline.aggregate_post_process) {
-    return Status::FailedPrecondition(
-        "mutation batches require aggregate post-processing "
-        "(retraction subtracts from the delta-maintained aggregates)");
-  }
-  if (!aggregates_valid_) {
-    return Status::FailedPrecondition(
-        "aggregates were invalidated by external schema surgery; "
-        "mutation batches cannot retract from them");
-  }
   static obs::Counter* mutation_batches = obs::MetricsRegistry::Global()
       .GetCounter("pghive.incremental.mutation_batches");
   static obs::Counter* nodes_retracted = obs::MetricsRegistry::Global()
@@ -112,20 +84,11 @@ Status IncrementalDiscoverer::FeedMutations(
     // A pure-deletion batch has nothing to embed or cluster.
     if (batch.num_nodes() > 0 || batch.num_edges() > 0) {
       PGHIVE_RETURN_NOT_OK(pipeline_.ProcessBatch(batch, &schema_));
-      obs::ScopedSpan fold_span("incremental.fold");
-      if (!aggregates_.FoldNew(*batch.graph, schema_)) {
-        aggregates_valid_ = false;
-      }
+      PGHIVE_RETURN_NOT_OK(FoldNew(*batch.graph));
+    } else if (obs::MetricsEnabled()) {
+      PublishAggregateGauges(aggregates_);
     }
-    if (obs::MetricsEnabled()) PublishAggregateGauges(aggregates_);
-    if (options_.post_process_each_batch) {
-      pipeline_.PostProcessWithAggregates(*batch.graph, AggregatesOrNull(),
-                                          &schema_);
-      post_process_seconds_.push_back(
-          pipeline_.last_diagnostics().timings.post_process);
-    } else {
-      post_process_seconds_.push_back(0.0);
-    }
+    PostProcessBatch(*batch.graph);
   }
   mutation_batches->Add(1);
   nodes_retracted->Add(rstats.nodes_retracted);
@@ -136,42 +99,60 @@ Status IncrementalDiscoverer::FeedMutations(
   return Status::OK();
 }
 
-void IncrementalDiscoverer::RestoreState(SchemaGraph schema,
+Status IncrementalDiscoverer::FoldNew(const PropertyGraph& g) {
+  {
+    // O(batch): folds only the instances this batch appended.
+    obs::ScopedSpan fold_span("incremental.fold");
+    if (!aggregates_.FoldNew(g, schema_)) {
+      return Status::Internal(
+          "a schema instance list shrank below its aggregate watermark "
+          "outside the retraction path");
+    }
+  }
+  if (obs::MetricsEnabled()) PublishAggregateGauges(aggregates_);
+  return Status::OK();
+}
+
+void IncrementalDiscoverer::PostProcessBatch(const PropertyGraph& g) {
+  if (!options_.post_process_each_batch) {
+    post_process_seconds_.push_back(0.0);
+    return;
+  }
+  pipeline_.PostProcessWithAggregates(g, &aggregates_, &schema_);
+  post_process_seconds_.push_back(
+      pipeline_.last_diagnostics().timings.post_process);
+}
+
+void IncrementalDiscoverer::RestoreState(const PropertyGraph& g,
+                                         SchemaGraph schema,
                                          std::vector<double> batch_seconds,
                                          SchemaAggregates aggregates) {
   schema_ = std::move(schema);
   batch_seconds_ = std::move(batch_seconds);
   post_process_seconds_.assign(batch_seconds_.size(), 0.0);
-  aggregates_valid_ = true;
   // The retraction index points into the replaced schema; rebuild lazily on
   // the next FeedMutations.
   retraction_index_ = RetractionIndex();
   mutations_seen_ = false;
-  if (aggregates.ConsistentWith(schema_)) {
-    aggregates_ = std::move(aggregates);
-  } else {
-    // Stale or absent: the next Feed's FoldNew (watermark 0) rebuilds them
-    // from the restored schema's instance lists.
-    aggregates_.Clear();
-  }
-}
-
-const SchemaAggregates* IncrementalDiscoverer::AggregatesOrNull() const {
-  return options_.pipeline.aggregate_post_process && aggregates_valid_
-             ? &aggregates_
-             : nullptr;
+  aggregates_ = aggregates.ConsistentWith(schema_)
+                    ? std::move(aggregates)
+                    : BuildAggregates(g, schema_, thread_pool());
 }
 
 const SchemaGraph& IncrementalDiscoverer::Finish(const PropertyGraph& g) {
-  // With maintained aggregates this is pure finalization — no rescan, and
-  // no repeat of work already done by per-batch post-processing.
-  pipeline_.PostProcessWithAggregates(g, AggregatesOrNull(), &schema_);
+  // Pure finalization from the maintained aggregates — no rescan, and no
+  // repeat of work already done by per-batch post-processing.
+  if (options_.pipeline.post_process) {
+    pipeline_.PostProcessWithAggregates(g, &aggregates_, &schema_);
+  }
   return schema_;
 }
 
 SchemaGraph IncrementalDiscoverer::FinishedCopy(const PropertyGraph& g) const {
   SchemaGraph copy = schema_;
-  pipeline_.PostProcessWithAggregates(g, AggregatesOrNull(), &copy);
+  if (options_.pipeline.post_process) {
+    pipeline_.PostProcessWithAggregates(g, &aggregates_, &copy);
+  }
   return copy;
 }
 

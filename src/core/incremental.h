@@ -38,21 +38,23 @@ class IncrementalDiscoverer {
   /// Updates are delete-then-reinsert: the caller tombstones the old id in
   /// the deletion lists and appends the replacement to `batch` (see
   /// graph/mutations.h for the canonical order and the endpoint-closure
-  /// contract). Requires aggregate_post_process (retraction is
-  /// aggregate-based); fails with FailedPrecondition otherwise, and with
-  /// InvalidArgument on an unknown or double-deleted id.
+  /// contract). Fails with InvalidArgument on an unknown or double-deleted
+  /// id.
   Status FeedMutations(const GraphBatch& batch,
                        const std::vector<NodeId>& deleted_nodes,
                        const std::vector<EdgeId>& deleted_edges);
 
   /// Restores previously persisted state (schema + per-batch timings +
-  /// optionally the delta-maintained aggregates), so a recovered process
-  /// resumes exactly where it stopped: the next Feed() merges into the
-  /// restored schema as if this discoverer had processed every earlier
-  /// batch itself (src/store/ uses this on recovery). Aggregates that don't
-  /// match the schema (or an empty default) are discarded — the next fold
-  /// rebuilds them from the schema's instance lists.
-  void RestoreState(SchemaGraph schema, std::vector<double> batch_seconds,
+  /// the delta-maintained aggregates), so a recovered process resumes
+  /// exactly where it stopped: the next Feed() or FeedMutations() continues
+  /// from the restored schema as if this discoverer had processed every
+  /// earlier batch itself (src/store/ uses this on recovery). `g` is the
+  /// graph the schema's instance ids refer to. Aggregates that don't match
+  /// the schema (ConsistentWith — e.g. an empty default) are rebuilt from
+  /// `g` and the schema's instance lists here, so the discoverer never
+  /// holds aggregates that disagree with its schema.
+  void RestoreState(const PropertyGraph& g, SchemaGraph schema,
+                    std::vector<double> batch_seconds,
                     SchemaAggregates aggregates = {});
 
   /// Number of batches processed so far.
@@ -66,7 +68,9 @@ class IncrementalDiscoverer {
   const SchemaGraph& schema() const { return schema_; }
 
   /// Final post-processing pass over everything fed so far; returns the
-  /// completed schema. `g` must be the graph the batches sliced.
+  /// completed schema. `g` must be the graph the batches sliced. With
+  /// PipelineOptions::post_process off this finalizes nothing (no
+  /// constraints, unknown cardinalities), like the one-shot pipeline.
   const SchemaGraph& Finish(const PropertyGraph& g);
 
   /// What Finish(g) would return, computed on a copy — the engine's own
@@ -86,14 +90,10 @@ class IncrementalDiscoverer {
   ThreadPool* thread_pool() const { return pipeline_.thread_pool(); }
 
   /// The delta-maintained post-processing aggregates, folded forward on
-  /// every Feed (meaningful only while aggregates_valid()). The durable
-  /// store persists them so recovery skips the rebuild.
+  /// every Feed and retracted on every FeedMutations; they always match
+  /// schema(). The durable store persists them so recovery skips the
+  /// rebuild.
   const SchemaAggregates& aggregates() const { return aggregates_; }
-
-  /// False after an instance list shrank under the aggregates (external
-  /// schema surgery) — post-processing then rebuilds transient aggregates
-  /// until RestoreState resets the discoverer.
-  bool aggregates_valid() const { return aggregates_valid_; }
 
   /// Wall-clock seconds the post-processing of each Feed() took (0 when
   /// post_process_each_batch is off) — the incremental-scaling bench series.
@@ -102,15 +102,18 @@ class IncrementalDiscoverer {
   }
 
  private:
-  /// The maintained aggregates when they are usable, else null (the
-  /// pipeline then rebuilds transiently).
-  const SchemaAggregates* AggregatesOrNull() const;
+  /// Folds the instances the last ProcessBatch appended. Internal error
+  /// when an instance list shrank below its watermark: only retraction
+  /// shrinks instance lists, and it keeps the aggregates in step.
+  Status FoldNew(const PropertyGraph& g);
+
+  /// Per-batch post-processing (when enabled) and its timing series entry.
+  void PostProcessBatch(const PropertyGraph& g);
 
   IncrementalOptions options_;
   PgHivePipeline pipeline_;
   SchemaGraph schema_;
   SchemaAggregates aggregates_;
-  bool aggregates_valid_ = true;
   std::vector<double> batch_seconds_;
   std::vector<double> post_process_seconds_;
   /// Element->type index for retraction; built lazily on the first

@@ -4,8 +4,6 @@
 
 #include "cluster/lsh_clusterer.h"
 #include "common/string_util.h"
-#include "core/cardinality.h"
-#include "core/constraints.h"
 #include "graph/graph_stats.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -318,25 +316,6 @@ void PgHivePipeline::PostProcessWithAggregates(
   StageTimings& timings = diagnostics_.timings;
   obs::ScopedSpan span("pipeline.post_process", &timings.post_process);
   ThreadPool* pool = EnsurePool();
-
-  if (!options_.aggregate_post_process) {
-    // Legacy rescan passes (A/B escape hatch) — same outputs, O(instances)
-    // per call.
-    {
-      obs::ScopedSpan s("pipeline.post_constraints", &timings.post_constraints);
-      InferPropertyConstraints(g, schema, pool);
-    }
-    {
-      obs::ScopedSpan s("pipeline.post_datatypes", &timings.post_datatypes);
-      InferDataTypes(g, options_.datatypes, schema, pool);
-    }
-    {
-      obs::ScopedSpan s("pipeline.post_cardinalities",
-                        &timings.post_cardinalities);
-      ComputeCardinalities(g, schema, pool);
-    }
-    return;
-  }
 
   // Finalize from aggregates: the caller's maintained state when it matches
   // the schema's instance assignment, otherwise a transient build in one

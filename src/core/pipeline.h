@@ -56,15 +56,6 @@ struct PipelineOptions {
   bool post_process = true;
   DataTypeInferenceOptions datatypes;
 
-  /// When true (default) post-processing finalizes from delta-maintained
-  /// mergeable aggregates (core/aggregates.h) instead of rescanning every
-  /// assigned instance: the incremental pipeline folds each batch in
-  /// O(batch), and the one-shot pipeline builds the aggregates in a single
-  /// chunked parallel pass. Output is bit-identical to the rescan passes;
-  /// the flag exists for A/B benchmarking and as an escape hatch. Not part
-  /// of the options fingerprint (output-neutral).
-  bool aggregate_post_process = true;
-
   /// Worker threads for the data-parallel stages (encoding, LSH hashing,
   /// datatype scans): 0 = hardware concurrency, 1 (default) = the original
   /// sequential loops, no pool created. Any value yields a bit-identical
@@ -108,9 +99,9 @@ struct StageTimings {
   double cluster_edges_hash = 0.0;
   double post_process = 0.0;   // constraints + datatypes + cardinalities
   // Sub-timings of post_process (they sum to roughly post_process; the
-  // remainder is dispatch overhead). post_fold is the aggregate build /
-  // delta fold; the other three are the per-pass finalizations (or the
-  // legacy rescan passes when aggregate_post_process is off).
+  // remainder is dispatch overhead). post_fold is the transient aggregate
+  // build (0 when the caller's maintained aggregates were used); the other
+  // three are the per-pass finalizations from the aggregates.
   double post_fold = 0.0;
   double post_constraints = 0.0;
   double post_datatypes = 0.0;
@@ -143,16 +134,14 @@ class PgHivePipeline {
 
   /// Constraint, datatype and cardinality inference over the instances
   /// currently assigned in `schema` (Algorithm 1 lines 7-10). Builds a
-  /// transient aggregate state (or rescans, when aggregate_post_process is
-  /// off) — callers holding maintained aggregates use the overload below.
+  /// transient aggregate state in one chunked parallel pass — callers
+  /// holding maintained aggregates use the overload below.
   void PostProcess(const PropertyGraph& g, SchemaGraph* schema) const;
 
   /// Post-processing from caller-maintained aggregates (core/incremental.h
   /// folds them batch by batch). `aggregates` may be null or inconsistent
   /// with `schema` — the pipeline then builds a transient aggregate state
-  /// in one chunked parallel pass (or, with aggregate_post_process off,
-  /// runs the legacy rescan passes). The finalized schema is bit-identical
-  /// on every path.
+  /// instead. The finalized schema is bit-identical either way.
   void PostProcessWithAggregates(const PropertyGraph& g,
                                  const SchemaAggregates* aggregates,
                                  SchemaGraph* schema) const;

@@ -245,6 +245,60 @@ Result<std::vector<RawSection>> ParseSections(const std::string& bytes,
   return sections;
 }
 
+/// ParseError naming the first id in `ids` (a count map's keys, or an
+/// instance list) that is not below `limit`.
+template <typename Ids, typename GetId>
+Status CheckIdsBelow(const Ids& ids, GetId get_id, uint64_t limit,
+                     const std::string& what) {
+  for (const auto& entry : ids) {
+    const uint64_t id = get_id(entry);
+    if (id >= limit) {
+      return Status::ParseError(what + " id " + std::to_string(id) +
+                                " is out of range (" + std::to_string(limit) +
+                                " in the graph section)");
+    }
+  }
+  return Status::OK();
+}
+
+/// The schema and aggregates sections each decode on their own, but both
+/// index into the graph section, and recovery, retraction and value
+/// statistics dereference those ids unchecked. Run once per decode:
+/// O(instances + aggregate entries).
+Status CheckCrossSectionIds(const StoreSnapshot& s) {
+  auto id = [](uint64_t v) { return v; };
+  auto key = [](const auto& kv) { return uint64_t{kv.first}; };
+  for (const auto& t : s.schema.node_types) {
+    PGHIVE_RETURN_NOT_OK(CheckIdsBelow(t.instances, id, s.graph.num_nodes(),
+                                       "node type '" + t.name + "' node"));
+  }
+  for (const auto& t : s.schema.edge_types) {
+    PGHIVE_RETURN_NOT_OK(CheckIdsBelow(t.instances, id, s.graph.num_edges(),
+                                       "edge type '" + t.name + "' edge"));
+  }
+  const GraphSymbols& sym = s.graph.symbols();
+  for (const std::vector<TypeAggregate>* aggs :
+       {&s.aggregates.node_types, &s.aggregates.edge_types}) {
+    for (const TypeAggregate& a : *aggs) {
+      PGHIVE_RETURN_NOT_OK(CheckIdsBelow(a.key_set_counts, key,
+                                         sym.key_sets.size(),
+                                         "aggregate key-set"));
+      PGHIVE_RETURN_NOT_OK(CheckIdsBelow(a.label_set_counts, key,
+                                         sym.label_sets.size(),
+                                         "aggregate label-set"));
+      PGHIVE_RETURN_NOT_OK(
+          CheckIdsBelow(a.keys, key, sym.keys.size(), "aggregate key"));
+      PGHIVE_RETURN_NOT_OK(CheckIdsBelow(a.src_set_counts, key,
+                                         sym.label_sets.size(),
+                                         "aggregate source label-set"));
+      PGHIVE_RETURN_NOT_OK(CheckIdsBelow(a.tgt_set_counts, key,
+                                         sym.label_sets.size(),
+                                         "aggregate target label-set"));
+    }
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 Result<StoreSnapshot> DecodeSnapshot(const std::string& bytes) {
@@ -355,6 +409,7 @@ Result<StoreSnapshot> DecodeSnapshot(const std::string& bytes) {
     return Status::ParseError(
         "snapshot is missing a required section (meta/graph/schema)");
   }
+  PGHIVE_RETURN_NOT_OK(CheckCrossSectionIds(snapshot));
   return snapshot;
 }
 

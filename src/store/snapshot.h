@@ -95,9 +95,8 @@ struct StoreSnapshot {
   SchemaValueStats value_stats;
 
   /// Delta-maintained post-processing aggregates (core/aggregates.h),
-  /// present (has_aggregates) when the engine had usable aggregates at
-  /// checkpoint time. Absent in v1/v2 files and when the engine ran with
-  /// aggregate post-processing off — recovery then rebuilds them.
+  /// present (has_aggregates) when they matched the schema at checkpoint
+  /// time. Absent (empty) in v1-v3 files — recovery then rebuilds them.
   SchemaAggregates aggregates;
   bool has_aggregates = false;
 
@@ -115,7 +114,12 @@ std::string EncodeSnapshot(const StoreSnapshot& snapshot,
 
 /// Parses and validates a snapshot. Fails with ParseError on structural
 /// corruption and IoError on a CRC mismatch (naming the bad section);
-/// required sections (meta, graph, schema) must be present.
+/// required sections (meta, graph, schema) must be present. The sections
+/// are also checked against each other: every schema instance id must name
+/// a node/edge of the graph, and every interned id the aggregates hold
+/// (key, key-set, label-set, endpoint label-set) must exist in the graph's
+/// symbol pools — a violation is a ParseError, so well-formed sections
+/// that disagree never reach the engine.
 Result<StoreSnapshot> DecodeSnapshot(const std::string& bytes);
 
 /// Durable write: <path>.tmp + fsync + rename + directory fsync, so a crash

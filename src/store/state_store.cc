@@ -304,19 +304,12 @@ Status DurableDiscoverer::Recover(RecoveryReport* report) {
     report->snapshot_batches = snap->applied_batches;
     applied_batches_ = snap->applied_batches;
     graph_ = std::move(snap->graph);
-    // Aggregates travel with v3 snapshots; an older file (or one written
-    // with aggregate post-processing off) gets them rebuilt here, once, so
-    // journal replay and future batches fold O(batch) deltas again.
-    SchemaAggregates aggregates;
-    if (snap->has_aggregates) {
-      aggregates = std::move(snap->aggregates);
-    } else if (options_.incremental.pipeline.aggregate_post_process) {
-      aggregates = BuildAggregates(graph_, snap->schema,
-                                   engine_.thread_pool());
-    }
-    engine_.RestoreState(std::move(snap->schema),
+    // Aggregates travel with v4 snapshots; when they are absent (v1-v3
+    // files) or do not match the schema, RestoreState rebuilds them, once,
+    // so journal replay and future batches fold O(batch) deltas again.
+    engine_.RestoreState(graph_, std::move(snap->schema),
                          std::move(snap->batch_seconds),
-                         std::move(aggregates));
+                         std::move(snap->aggregates));
     if (snap->has_drift) {
       PGHIVE_RETURN_NOT_OK(drift_.Restore(snap->drift_history));
     }
@@ -486,9 +479,7 @@ StoreSnapshot DurableDiscoverer::BuildSnapshot() const {
     snap.value_stats = ComputeValueStats(graph_, snap.schema, {},
                                          engine_.thread_pool());
   }
-  if (options_.incremental.pipeline.aggregate_post_process &&
-      engine_.aggregates_valid() &&
-      engine_.aggregates().ConsistentWith(snap.schema)) {
+  if (engine_.aggregates().ConsistentWith(snap.schema)) {
     snap.aggregates = engine_.aggregates();
     snap.has_aggregates = true;
   }

@@ -68,8 +68,8 @@ struct StoreOptions {
   /// applied batch the post-processed schema is diffed against the previous
   /// epoch's and the result recorded. The history rides in snapshots
   /// (kDriftHistory) and is served via `pghive drift` and the daemon's
-  /// /drift endpoint. Costs one FinishedCopy per batch — O(schema) with
-  /// aggregate post-processing on, a full post-process scan otherwise.
+  /// /drift endpoint. Costs one FinishedCopy per batch — O(schema), a
+  /// finalization from the maintained aggregates.
   bool track_drift = true;
   /// Bound on retained per-epoch diff records (cumulative counters are
   /// never truncated).

@@ -1,6 +1,7 @@
 // Unit tests for the delta-maintained post-processing aggregates
-// (core/aggregates.h): fold/build/merge equivalence with the rescan passes,
-// watermark semantics, consistency detection and the numeric partials.
+// (core/aggregates.h): fold/build/merge equivalence with the rescan oracle
+// (tests/rescan_oracle.h), watermark semantics, consistency detection and
+// the numeric partials.
 
 #include <gtest/gtest.h>
 
@@ -9,14 +10,12 @@
 #include <vector>
 
 #include "core/aggregates.h"
-#include "core/cardinality.h"
-#include "core/constraints.h"
-#include "core/datatype_inference.h"
 #include "core/pipeline.h"
 #include "core/value_stats.h"
 #include "datagen/datasets.h"
 #include "datagen/generator.h"
 #include "graph/property_graph.h"
+#include "rescan_oracle.h"
 #include "runtime/thread_pool.h"
 
 namespace pghive {
@@ -87,14 +86,6 @@ Fixture MakeFixture() {
   return f;
 }
 
-SchemaGraph RescanPostProcess(const Fixture& f) {
-  SchemaGraph s = f.schema;
-  InferPropertyConstraints(f.graph, &s);
-  InferDataTypes(f.graph, {}, &s);
-  ComputeCardinalities(f.graph, &s);
-  return s;
-}
-
 SchemaGraph FinalizeFrom(const Fixture& f, const SchemaAggregates& agg,
                          ThreadPool* pool = nullptr) {
   SchemaGraph s = f.schema;
@@ -128,7 +119,8 @@ TEST(AggregatesTest, FinalizationMatchesRescanPasses) {
   Fixture f = MakeFixture();
   SchemaAggregates agg = BuildAggregates(f.graph, f.schema);
   ASSERT_TRUE(agg.ConsistentWith(f.schema));
-  EXPECT_EQ(SchemaText(FinalizeFrom(f, agg)), SchemaText(RescanPostProcess(f)));
+  EXPECT_EQ(SchemaText(FinalizeFrom(f, agg)),
+            SchemaText(RescanPostProcess(f.graph, f.schema)));
 }
 
 TEST(AggregatesTest, DatatypeJoinsMatchSequentialFold) {
@@ -244,7 +236,8 @@ TEST(AggregatesTest, PipelineFallsBackOnStaleAggregates) {
   PgHivePipeline pipeline{PipelineOptions{}};
   SchemaGraph via_pipeline = mutated.schema;
   pipeline.PostProcessWithAggregates(mutated.graph, &stale, &via_pipeline);
-  EXPECT_EQ(SchemaText(via_pipeline), SchemaText(RescanPostProcess(mutated)));
+  EXPECT_EQ(SchemaText(via_pipeline),
+            SchemaText(RescanPostProcess(mutated.graph, mutated.schema)));
 }
 
 TEST(AggregatesTest, NumericPartialsMatchValueStats) {
@@ -272,39 +265,41 @@ TEST(AggregatesTest, NumericPartialsMatchValueStats) {
   }
 }
 
-// End-to-end on a real dataset: the full pipeline with aggregates on/off
-// produces identical schemas, one-shot and with the gauges published.
+// End-to-end on a real dataset: the full pipeline equals the rescan oracle
+// run over the same graph's unprocessed schema, one-shot and with the
+// gauges published.
 TEST(AggregatesTest, DiscoveryIdenticalWithAndWithoutAggregates) {
   GenerateOptions gen;
   gen.num_nodes = 500;
   gen.num_edges = 900;
   PropertyGraph g = GenerateGraph(MakePoleSpec(), gen).value();
-  PipelineOptions on, off;
-  off.aggregate_post_process = false;
-  auto with = PgHivePipeline(on).DiscoverSchema(g);
-  auto without = PgHivePipeline(off).DiscoverSchema(g);
+  PipelineOptions no_post;
+  no_post.post_process = false;
+  auto with = PgHivePipeline().DiscoverSchema(g);
+  auto unprocessed = PgHivePipeline(no_post).DiscoverSchema(g);
   ASSERT_TRUE(with.ok());
-  ASSERT_TRUE(without.ok());
-  EXPECT_EQ(SchemaText(*with), SchemaText(*without));
+  ASSERT_TRUE(unprocessed.ok());
+  EXPECT_EQ(SchemaText(*with), SchemaText(RescanPostProcess(g, *unprocessed)));
   PublishAggregateGauges(BuildAggregates(g, *with));
 }
 
 // Sampling mode cannot be served from tallies; the pipeline must fall back
-// to the rescan and stay identical to the aggregate-off path.
+// to the sampling value scan (InferDataTypes) over the same schema.
 TEST(AggregatesTest, SamplingModeFallsBackToRescan) {
   GenerateOptions gen;
   gen.num_nodes = 400;
   gen.num_edges = 700;
   PropertyGraph g = GenerateGraph(MakePoleSpec(), gen).value();
-  PipelineOptions on, off;
-  on.datatypes.sample = true;
-  off.datatypes.sample = true;
-  off.aggregate_post_process = false;
-  auto with = PgHivePipeline(on).DiscoverSchema(g);
-  auto without = PgHivePipeline(off).DiscoverSchema(g);
+  PipelineOptions sampled, no_post;
+  sampled.datatypes.sample = true;
+  no_post.post_process = false;
+  auto with = PgHivePipeline(sampled).DiscoverSchema(g);
+  auto unprocessed = PgHivePipeline(no_post).DiscoverSchema(g);
   ASSERT_TRUE(with.ok());
-  ASSERT_TRUE(without.ok());
-  EXPECT_EQ(SchemaText(*with), SchemaText(*without));
+  ASSERT_TRUE(unprocessed.ok());
+  EXPECT_EQ(SchemaText(*with),
+            SchemaText(RescanPostProcess(g, *unprocessed,
+                                         sampled.datatypes)));
 }
 
 }  // namespace

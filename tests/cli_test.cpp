@@ -11,8 +11,10 @@
 #include "cli/args.h"
 #include "cli/commands.h"
 #include "common/csv.h"
+#include "core/schema_json.h"
 #include "graph/csv_io.h"
 #include "graph/graph_builder.h"
+#include "test_dir.h"
 
 namespace pghive {
 namespace {
@@ -92,6 +94,13 @@ class CliTest : public testing::Test {
     Status s = RunCliCommand(MakeArgs(std::move(tokens)), out);
     if (status != nullptr) *status = s;
     return out.str();
+  }
+
+  /// Writes a --deletions file next to the graph and returns its path.
+  std::string WriteDeletions(const std::string& text) {
+    const std::string path = prefix_ + ".deletions.txt";
+    EXPECT_TRUE(WriteFile(path, text).ok());
+    return path;
   }
 
   std::string prefix_;
@@ -273,6 +282,115 @@ TEST_F(CliTest, DiscoverWithBadAliasFileFails) {
   Status s;
   Run({"discover", prefix_, "--aliases", alias_path}, &s);
   EXPECT_EQ(s.code(), StatusCode::kParseError);
+}
+
+// Figure-1 ids: nodes 0 Bob, 1 John, 2 Alice, 3 FORTH, 4-5 Posts, 6 Place;
+// edges 2 and 3 are the two LIKES edges into the Posts.
+TEST_F(CliTest, DiscoverDeletionsRetireTypes) {
+  const std::string path = WriteDeletions(
+      "# both Posts and the LIKES edges into them\n"
+      "node 4\nnode 5\n\nedge 2   # Alice LIKES post 1\nedge 3\n");
+  Status s;
+  std::string out = Run({"discover", prefix_, "--deletions", path}, &s);
+  ASSERT_TRUE(s.ok()) << s;
+  EXPECT_NE(out.find("deletions: removed 2 node(s)/2 edge(s), retired 1 "
+                     "node type(s)/1 edge type(s)\n"),
+            std::string::npos)
+      << out;
+  EXPECT_EQ(out.find("node type Post"), std::string::npos) << out;
+  EXPECT_EQ(out.find("edge type LIKES"), std::string::npos) << out;
+  EXPECT_NE(out.find("node type Person"), std::string::npos) << out;
+}
+
+TEST_F(CliTest, DiscoverEmptyDeletionsMatchesPlainDiscover) {
+  const std::string path = WriteDeletions("# nothing to delete\n\n");
+  Status s;
+  const std::string plain = Run({"discover", prefix_, "--format", "json"}, &s);
+  ASSERT_TRUE(s.ok()) << s;
+  const std::string deleted = Run(
+      {"discover", prefix_, "--format", "json", "--deletions", path}, &s);
+  ASSERT_TRUE(s.ok()) << s;
+  EXPECT_EQ(deleted,
+            "deletions: removed 0 node(s)/0 edge(s), retired 0 node type(s)/"
+            "0 edge type(s)\n" + plain);
+}
+
+TEST_F(CliTest, DiscoverDeletionsIncremental) {
+  const std::string path = WriteDeletions("node 4\nnode 5\nedge 2\nedge 3\n");
+  Status s;
+  std::string out = Run({"discover", prefix_, "--incremental", "2",
+                         "--deletions", path},
+                        &s);
+  ASSERT_TRUE(s.ok()) << s;
+  EXPECT_NE(out.find("deletions: removed 2 node(s)/2 edge(s)"),
+            std::string::npos)
+      << out;
+  EXPECT_EQ(out.find("node type Post"), std::string::npos) << out;
+}
+
+TEST_F(CliTest, DiscoverRejectsBadDeletionsFiles) {
+  // Each file is InvalidArgument with a message naming the line or the id.
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"node 2abc\n", ".deletions.txt:1: expected"},
+      {"edge -1\n", ".deletions.txt:1: expected"},
+      {"# ok\nedge 0\nnode 3 4\n", ".deletions.txt:3: expected"},
+      {"edge 18446744073709551616\n", ".deletions.txt:1: expected"},
+      {"vertex 1\n", ".deletions.txt:1: expected"},
+      {"node\n", ".deletions.txt:1: expected"},
+      {"node 99999999\n", "deleted node 99999999 does not exist"},
+      {"edge 6\n", "deleted edge 6 does not exist"},
+      {"edge 1\nedge 1\n", "deleted edge 1 deleted twice"},
+      {"node 6\n", "deleted node 6 keeps incident edge 5"},
+  };
+  for (const auto& [text, want] : cases) {
+    SCOPED_TRACE(text);
+    Status s;
+    Run({"discover", prefix_, "--deletions", WriteDeletions(text)}, &s);
+    EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << s;
+    EXPECT_NE(s.message().find(want), std::string::npos) << s;
+  }
+}
+
+TEST_F(CliTest, DiscoverDeletionsRejectsStateDir) {
+  Status s;
+  Run({"discover", prefix_, "--deletions", WriteDeletions("edge 0\n"),
+       "--state-dir", TestDir("cli_deletions_state")},
+      &s);
+  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << s;
+}
+
+// --no-post leaves the schema unfinished on every discovery route: no
+// constraint entries, and every edge type at cardinality "?" with zero
+// degrees.
+TEST_F(CliTest, NoPostHonouredByIncrementalAndDurableRuns) {
+  const std::string state_dir = TestDir("cli_no_post_state");
+  const std::vector<std::vector<std::string>> runs = {
+      {},
+      {"--incremental", "4"},
+      {"--incremental", "4", "--state-dir", state_dir},
+  };
+  for (const auto& extra : runs) {
+    const std::string schema_path = prefix_ + ".no_post.json";
+    std::vector<std::string> tokens = {"discover", prefix_, "--no-post",
+                                       "--save-schema", schema_path};
+    tokens.insert(tokens.end(), extra.begin(), extra.end());
+    SCOPED_TRACE(tokens.size());
+    Status s;
+    Run(tokens, &s);
+    ASSERT_TRUE(s.ok()) << s;
+    auto schema = LoadSchemaJson(schema_path);
+    ASSERT_TRUE(schema.ok()) << schema.status();
+    ASSERT_FALSE(schema->edge_types.empty());
+    for (const auto& t : schema->node_types) {
+      EXPECT_TRUE(t.constraints.empty()) << t.name;
+    }
+    for (const auto& t : schema->edge_types) {
+      EXPECT_TRUE(t.constraints.empty()) << t.name;
+      EXPECT_EQ(t.cardinality, SchemaCardinality::kUnknown) << t.name;
+      EXPECT_EQ(t.max_out_degree, 0u) << t.name;
+      EXPECT_EQ(t.max_in_degree, 0u) << t.name;
+    }
+  }
 }
 
 TEST_F(CliTest, DatasetsLists) {

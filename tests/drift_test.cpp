@@ -21,9 +21,12 @@
 #include "core/incremental.h"
 #include "core/schema_diff.h"
 #include "core/schema_json.h"
+#include "datagen/datasets.h"
 #include "datagen/evolution.h"
+#include "datagen/generator.h"
 #include "drift/drift_tracker.h"
 #include "drift/replay.h"
+#include "graph/graph_builder.h"
 #include "graph/mutations.h"
 #include "graph/property_graph.h"
 #include "store/codec.h"
@@ -344,22 +347,78 @@ TEST(FeedMutationsTest, UnresolvableDeletesAreInvalidArgument) {
   }
 }
 
-TEST(FeedMutationsTest, RequiresAggregatePostProcessing) {
-  IncrementalOptions opt = FastOptions();
-  opt.pipeline.aggregate_post_process = false;
-  PropertyGraph g;
-  IncrementalDiscoverer engine(opt);
-  MutationBatch b0;
-  b0.nodes = {Node("Person", {})};
-  auto a0 = drift::ApplyMutationBatch(&g, b0).value();
-  ASSERT_TRUE(engine.Feed(a0.batch).ok());
+/// Discovers `g` in one batch, then retracts `nodes` and `edges` as one
+/// deletion-only mutation batch — the route `discover --deletions` takes.
+SchemaGraph DiscoverThenDelete(PropertyGraph* g, std::vector<NodeId> nodes,
+                               std::vector<EdgeId> edges) {
+  IncrementalDiscoverer engine;
+  EXPECT_TRUE(engine.Feed(FullBatch(*g)).ok());
+  MutationBatch deletions;
+  deletions.mutations.delete_nodes = std::move(nodes);
+  deletions.mutations.delete_edges = std::move(edges);
+  auto applied = drift::ApplyMutationBatch(g, deletions);
+  EXPECT_TRUE(applied.ok()) << applied.status();
+  if (applied.ok()) {
+    Status s = engine.FeedMutations(applied->batch, applied->deleted_nodes,
+                                    applied->deleted_edges);
+    EXPECT_TRUE(s.ok()) << s;
+  }
+  return engine.Finish(*g);
+}
 
-  MutationBatch b1;
-  b1.mutations.delete_nodes = {0};
-  auto a1 = drift::ApplyMutationBatch(&g, b1).value();
-  Status s =
-      engine.FeedMutations(a1.batch, a1.deleted_nodes, a1.deleted_edges);
-  EXPECT_EQ(s.code(), StatusCode::kFailedPrecondition);
+/// Every edge incident to a node in `nodes`.
+std::vector<EdgeId> IncidentEdges(const PropertyGraph& g,
+                                  const std::set<NodeId>& nodes) {
+  std::vector<EdgeId> edges;
+  for (const auto& e : g.edges()) {
+    if (nodes.count(e.source) || nodes.count(e.target)) edges.push_back(e.id);
+  }
+  return edges;
+}
+
+TEST(FeedMutationsTest, RemovingInstancesShrinksAssignments) {
+  // Delete Bob (node 0 of the Figure-1 graph) and his incident edges.
+  PropertyGraph g = MakeFigure1Graph();
+  const std::vector<EdgeId> bob_edges = IncidentEdges(g, {0});
+  ASSERT_FALSE(bob_edges.empty());
+  SchemaGraph schema = DiscoverThenDelete(&g, {0}, bob_edges);
+  const int person = schema.FindNodeTypeByLabels({"Person"});
+  ASSERT_GE(person, 0);
+  EXPECT_EQ(schema.node_types[person].instances.size(), 2u);
+  size_t edge_instances = 0;
+  for (const auto& t : schema.edge_types) {
+    edge_instances += t.instances.size();
+  }
+  EXPECT_EQ(edge_instances, g.num_edges() - bob_edges.size());
+}
+
+TEST(FeedMutationsTest, SchemaStillValidatesSurvivors) {
+  PropertyGraph g =
+      GenerateGraph(MakePoleSpec(),
+                    GenerateOptions{.num_nodes = 400, .num_edges = 700})
+          .value();
+  // Delete a third of the nodes and every edge incident to them.
+  std::set<NodeId> dead_nodes;
+  for (NodeId i = 0; i < g.num_nodes(); i += 3) dead_nodes.insert(i);
+  const std::vector<EdgeId> dead_edges = IncidentEdges(g, dead_nodes);
+  SchemaGraph schema = DiscoverThenDelete(
+      &g, {dead_nodes.begin(), dead_nodes.end()}, dead_edges);
+  // Survivors must each still be assigned exactly once.
+  std::vector<int> seen(g.num_nodes(), 0);
+  for (const auto& t : schema.node_types) {
+    for (NodeId id : t.instances) ++seen[id];
+  }
+  for (NodeId i = 0; i < g.num_nodes(); ++i) {
+    EXPECT_EQ(seen[i], dead_nodes.count(i) ? 0 : 1) << "node " << i;
+  }
+  const std::set<EdgeId> dead_edge_set(dead_edges.begin(), dead_edges.end());
+  std::vector<int> edge_seen(g.num_edges(), 0);
+  for (const auto& t : schema.edge_types) {
+    for (EdgeId id : t.instances) ++edge_seen[id];
+  }
+  for (EdgeId i = 0; i < g.num_edges(); ++i) {
+    EXPECT_EQ(edge_seen[i], dead_edge_set.count(i) ? 0 : 1) << "edge " << i;
+  }
 }
 
 // --- Non-monotone DiffSchemas directions (what drift records look like). ---

@@ -1,141 +1,16 @@
-// Tests for the future-work extensions: deletion handling (§4.6 future
-// work) and label aliasing (§6 future work (c)).
+// Tests for the future-work label aliasing extension (§6 future work (c)).
+// Deletion handling (§4.6 future work) is the engine's retraction path,
+// tested by FeedMutationsTest in drift_test.
 
 #include <gtest/gtest.h>
 
-#include "core/deletions.h"
 #include "core/label_alias.h"
 #include "core/pipeline.h"
-#include "core/validation.h"
-#include "datagen/datasets.h"
-#include "datagen/generator.h"
 #include "eval/f1.h"
 #include "graph/graph_builder.h"
 
 namespace pghive {
 namespace {
-
-// ---------- deletions ----------
-
-struct DeletionFixture {
-  PropertyGraph graph;
-  SchemaGraph schema;
-
-  DeletionFixture() {
-    graph = MakeFigure1Graph();
-    PgHivePipeline pipeline;
-    schema = pipeline.DiscoverSchema(graph).value();
-  }
-};
-
-TEST(DeletionsTest, NoDeletionsNoChange) {
-  DeletionFixture f;
-  size_t node_types = f.schema.node_types.size();
-  DeletionStats stats = ApplyDeletions(f.graph, {}, {}, {}, &f.schema);
-  EXPECT_EQ(stats.nodes_removed, 0u);
-  EXPECT_EQ(f.schema.node_types.size(), node_types);
-}
-
-TEST(DeletionsTest, RemovingInstancesShrinksAssignments) {
-  DeletionFixture f;
-  // Delete Bob (node 0) and his WORKS_AT edge (edge 4).
-  DeletionStats stats =
-      ApplyDeletions(f.graph, {0}, {4}, {}, &f.schema);
-  EXPECT_EQ(stats.nodes_removed, 1u);
-  EXPECT_EQ(stats.edges_removed, 1u);
-  int person = f.schema.FindNodeTypeByLabels({"Person"});
-  ASSERT_GE(person, 0);
-  EXPECT_EQ(f.schema.node_types[person].instances.size(), 2u);
-}
-
-TEST(DeletionsTest, EmptiedTypeDropped) {
-  DeletionFixture f;
-  // Delete both Post nodes (ids 4 and 5 in the Figure-1 builder order).
-  std::unordered_set<NodeId> posts;
-  for (const auto& n : f.graph.nodes()) {
-    if (n.truth_type == "Post") posts.insert(n.id);
-  }
-  ASSERT_EQ(posts.size(), 2u);
-  DeletionStats stats = ApplyDeletions(f.graph, posts, {}, {}, &f.schema);
-  EXPECT_EQ(stats.node_types_dropped, 1u);
-  EXPECT_EQ(f.schema.FindNodeTypeByLabels({"Post"}), -1);
-}
-
-TEST(DeletionsTest, EmptiedTypeKeptWhenConfigured) {
-  DeletionFixture f;
-  std::unordered_set<NodeId> posts;
-  for (const auto& n : f.graph.nodes()) {
-    if (n.truth_type == "Post") posts.insert(n.id);
-  }
-  DeletionOptions opt;
-  opt.drop_empty_types = false;
-  ApplyDeletions(f.graph, posts, {}, opt, &f.schema);
-  int post = f.schema.FindNodeTypeByLabels({"Post"});
-  ASSERT_GE(post, 0);
-  EXPECT_TRUE(f.schema.node_types[post].instances.empty());
-}
-
-TEST(DeletionsTest, PropertyRetiredWhenNoSurvivorCarriesIt) {
-  // Two nodes of one type; only one carries "extra". Deleting it retires
-  // the property from the type.
-  PropertyGraph g;
-  g.AddNode({"T"}, {{"base", Value::Int(1)}, {"extra", Value::Int(2)}}, "T");
-  g.AddNode({"T"}, {{"base", Value::Int(3)}}, "T");
-  PgHivePipeline pipeline;
-  SchemaGraph schema = pipeline.DiscoverSchema(g).value();
-  ASSERT_EQ(schema.node_types.size(), 1u);
-  ASSERT_TRUE(schema.node_types[0].property_keys.count("extra"));
-
-  DeletionStats stats = ApplyDeletions(g, {0}, {}, {}, &schema);
-  EXPECT_EQ(stats.properties_retired, 1u);
-  EXPECT_FALSE(schema.node_types[0].property_keys.count("extra"));
-  EXPECT_FALSE(schema.node_types[0].constraints.count("extra"));
-}
-
-TEST(DeletionsTest, ConstraintsTightenAfterDeletion) {
-  // "opt" is optional because one instance lacks it; delete that instance
-  // and the refresh promotes it to mandatory.
-  PropertyGraph g;
-  g.AddNode({"T"}, {{"opt", Value::Int(1)}}, "T");
-  g.AddNode({"T"}, {{"opt", Value::Int(2)}}, "T");
-  g.AddNode({"T"}, {}, "T");
-  PgHivePipeline pipeline;
-  SchemaGraph schema = pipeline.DiscoverSchema(g).value();
-  ASSERT_EQ(schema.node_types.size(), 1u);
-  EXPECT_FALSE(schema.node_types[0].constraints.at("opt").mandatory);
-
-  ApplyDeletions(g, {2}, {}, {}, &schema);
-  EXPECT_TRUE(schema.node_types[0].constraints.at("opt").mandatory);
-}
-
-TEST(DeletionsTest, SchemaStillValidatesSurvivors) {
-  auto g = GenerateGraph(MakePoleSpec(),
-                         GenerateOptions{.num_nodes = 400, .num_edges = 700})
-               .value();
-  PgHivePipeline pipeline;
-  SchemaGraph schema = pipeline.DiscoverSchema(g).value();
-  // Delete a third of the nodes and all their assignments.
-  std::unordered_set<NodeId> dead_nodes;
-  for (NodeId i = 0; i < g.num_nodes(); i += 3) dead_nodes.insert(i);
-  std::unordered_set<EdgeId> dead_edges;
-  for (const auto& e : g.edges()) {
-    if (dead_nodes.count(e.source) || dead_nodes.count(e.target)) {
-      dead_edges.insert(e.id);
-    }
-  }
-  ApplyDeletions(g, dead_nodes, dead_edges, {}, &schema);
-  // Survivors must each still be assigned exactly once.
-  std::vector<int> seen(g.num_nodes(), 0);
-  for (const auto& t : schema.node_types) {
-    for (NodeId id : t.instances) {
-      EXPECT_FALSE(dead_nodes.count(id));
-      ++seen[id];
-    }
-  }
-  for (NodeId i = 0; i < g.num_nodes(); ++i) {
-    EXPECT_EQ(seen[i], dead_nodes.count(i) ? 0 : 1);
-  }
-}
 
 // ---------- label aliases ----------
 

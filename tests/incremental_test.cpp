@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/incremental.h"
+#include "core/schema_json.h"
 #include "datagen/datasets.h"
 #include "datagen/generator.h"
 #include "eval/f1.h"
@@ -78,6 +79,44 @@ TEST(IncrementalTest, PostProcessEachBatchOption) {
     any_constraint |= !t.constraints.empty();
   }
   EXPECT_TRUE(any_constraint);
+}
+
+// With post-processing off, Finish and FinishedCopy finalize nothing (as
+// the one-shot pipeline does), while the aggregates still fold — the
+// retraction path needs them.
+TEST(IncrementalTest, NoPostProcessFinishesUnprocessed) {
+  auto g = GenerateGraph(MakePoleSpec(),
+                         GenerateOptions{.num_nodes = 500, .num_edges = 900})
+               .value();
+  IncrementalOptions opt;
+  opt.pipeline.post_process = false;
+  IncrementalDiscoverer discoverer(opt);
+  for (const auto& batch : SplitIntoBatches(g, 4)) {
+    ASSERT_TRUE(discoverer.Feed(batch).ok());
+  }
+  const SchemaGraph copy = discoverer.FinishedCopy(g);
+  const SchemaGraph& schema = discoverer.Finish(g);
+  EXPECT_EQ(SchemaToJson(copy), SchemaToJson(schema));
+  ASSERT_FALSE(schema.edge_types.empty());
+  for (const auto& t : schema.node_types) {
+    EXPECT_TRUE(t.constraints.empty()) << t.name;
+  }
+  for (const auto& t : schema.edge_types) {
+    EXPECT_TRUE(t.constraints.empty()) << t.name;
+    EXPECT_EQ(t.cardinality, SchemaCardinality::kUnknown) << t.name;
+    EXPECT_EQ(t.max_out_degree, 0u) << t.name;
+    EXPECT_EQ(t.max_in_degree, 0u) << t.name;
+  }
+  EXPECT_TRUE(discoverer.aggregates().ConsistentWith(schema));
+  EXPECT_EQ(discoverer.aggregates().FoldedInstances(),
+            g.num_nodes() + g.num_edges());
+
+  // One batch without post-processing equals the one-shot --no-post run.
+  IncrementalDiscoverer single(opt);
+  ASSERT_TRUE(single.Feed(FullBatch(g)).ok());
+  auto one_shot = PgHivePipeline(opt.pipeline).DiscoverSchema(g);
+  ASSERT_TRUE(one_shot.ok());
+  EXPECT_EQ(SchemaToJson(single.Finish(g)), SchemaToJson(*one_shot));
 }
 
 // ---------- MergeSchemas ----------

@@ -1,10 +1,10 @@
 // Unit tests for post-processing: property constraints, datatype inference
-// and cardinality computation (paper §4.4).
+// and cardinality computation (paper §4.4). Constraints and cardinalities
+// go through PgHivePipeline::PostProcess, the production path.
 
 #include <gtest/gtest.h>
 
 #include "core/cardinality.h"
-#include "core/constraints.h"
 #include "core/datatype_inference.h"
 #include "core/pipeline.h"
 #include "graph/graph_builder.h"
@@ -37,24 +37,10 @@ TEST(ConstraintsTest, MandatoryWhenPresentEverywhere) {
   Fixture f;
   f.AddTypedNodes("T", {{{"a", Value::Int(1)}, {"b", Value::Int(2)}},
                         {{"a", Value::Int(3)}}});
-  InferPropertyConstraints(f.graph, &f.schema);
+  PgHivePipeline().PostProcess(f.graph, &f.schema);
   const auto& cs = f.schema.node_types[0].constraints;
   EXPECT_TRUE(cs.at("a").mandatory);
   EXPECT_FALSE(cs.at("b").mandatory);
-}
-
-TEST(ConstraintsTest, FrequencyComputation) {
-  Fixture f;
-  f.AddTypedNodes("T", {{{"a", Value::Int(1)}},
-                        {{"a", Value::Int(2)}},
-                        {{"b", Value::Int(3)}},
-                        {}});
-  EXPECT_DOUBLE_EQ(
-      NodePropertyFrequency(f.graph, f.schema.node_types[0], "a"), 0.5);
-  EXPECT_DOUBLE_EQ(
-      NodePropertyFrequency(f.graph, f.schema.node_types[0], "b"), 0.25);
-  EXPECT_DOUBLE_EQ(
-      NodePropertyFrequency(f.graph, f.schema.node_types[0], "zz"), 0.0);
 }
 
 TEST(ConstraintsTest, InstanceLessTypeAllOptional) {
@@ -63,7 +49,7 @@ TEST(ConstraintsTest, InstanceLessTypeAllOptional) {
   t.name = "Empty";
   t.property_keys = {"x"};
   f.schema.node_types.push_back(t);
-  InferPropertyConstraints(f.graph, &f.schema);
+  PgHivePipeline().PostProcess(f.graph, &f.schema);
   EXPECT_FALSE(f.schema.node_types[0].constraints.at("x").mandatory);
 }
 
@@ -80,9 +66,8 @@ TEST(ConstraintsTest, EdgeConstraints) {
   t.property_keys = {"w"};
   t.instances = {e1, e2};
   s.edge_types.push_back(t);
-  InferPropertyConstraints(g, &s);
+  PgHivePipeline().PostProcess(g, &s);
   EXPECT_FALSE(s.edge_types[0].constraints.at("w").mandatory);
-  EXPECT_DOUBLE_EQ(EdgePropertyFrequency(g, s.edge_types[0], "w"), 0.5);
 }
 
 // ---------- datatype inference ----------
@@ -183,7 +168,7 @@ TEST(CardinalityTest, WorksAtExampleEight) {
   t.instances.push_back(g.AddEdge(p1, org, {"WORKS_AT"}, {}).value());
   t.instances.push_back(g.AddEdge(p2, org, {"WORKS_AT"}, {}).value());
   s.edge_types.push_back(t);
-  ComputeCardinalities(g, &s);
+  PgHivePipeline().PostProcess(g, &s);
   EXPECT_EQ(s.edge_types[0].cardinality, SchemaCardinality::kManyToOne);
   EXPECT_EQ(s.edge_types[0].max_out_degree, 1u);
   EXPECT_EQ(s.edge_types[0].max_in_degree, 2u);
@@ -199,7 +184,7 @@ TEST(CardinalityTest, DistinctTargetsNotParallelEdges) {
   t.instances.push_back(g.AddEdge(a, b, {"R"}, {}).value());
   t.instances.push_back(g.AddEdge(a, b, {"R"}, {}).value());
   s.edge_types.push_back(t);
-  ComputeCardinalities(g, &s);
+  PgHivePipeline().PostProcess(g, &s);
   EXPECT_EQ(s.edge_types[0].max_out_degree, 1u);
   EXPECT_EQ(s.edge_types[0].cardinality, SchemaCardinality::kZeroOrOne);
 }
@@ -216,7 +201,7 @@ TEST(CardinalityTest, ManyToMany) {
     t.instances.push_back(g.AddEdge(x, y, {"R"}, {}).value());
   }
   s.edge_types.push_back(t);
-  ComputeCardinalities(g, &s);
+  PgHivePipeline().PostProcess(g, &s);
   EXPECT_EQ(s.edge_types[0].cardinality, SchemaCardinality::kManyToMany);
 }
 
@@ -224,7 +209,7 @@ TEST(CardinalityTest, EmptyEdgeTypeUnknown) {
   PropertyGraph g;
   SchemaGraph s;
   s.edge_types.emplace_back();
-  ComputeCardinalities(g, &s);
+  PgHivePipeline().PostProcess(g, &s);
   EXPECT_EQ(s.edge_types[0].cardinality, SchemaCardinality::kUnknown);
 }
 

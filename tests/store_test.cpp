@@ -4,7 +4,9 @@
 // apply converges to the exact schema of an uninterrupted run.
 
 #include <filesystem>
+#include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -175,6 +177,108 @@ TEST(SnapshotTest, CorruptedSectionIsDetectedByName) {
   }
   EXPECT_TRUE(some_bad);
   EXPECT_TRUE(some_good);  // corruption is pinned to one section
+}
+
+/// MakeSnapshot plus a discovered schema and its aggregates, so the
+/// cross-section checks have ids to check.
+StoreSnapshot MakeSnapshotWithAggregates() {
+  StoreSnapshot snap = MakeSnapshot();
+  IncrementalDiscoverer engine(FastOptions().incremental);
+  EXPECT_TRUE(engine.Feed(FullBatch(snap.graph)).ok());
+  snap.schema = engine.schema();
+  snap.aggregates = engine.aggregates();
+  snap.has_aggregates = true;
+  return snap;
+}
+
+/// Re-keys the first entry of a count map to `id`, keeping its count.
+template <typename Map>
+void RekeyFirst(Map* map, uint64_t id) {
+  ASSERT_FALSE(map->empty());
+  auto node = map->extract(map->begin());
+  node.key() = static_cast<typename Map::key_type>(id);
+  map->insert(std::move(node));
+}
+
+// Aggregates naming an interned id past the end of its symbol pool decode
+// as a corrupt snapshot. `folded` is unchanged, so the aggregates still
+// look consistent with the schema and recovery would otherwise accept them.
+TEST(SnapshotTest, AggregateIdsOutsideTheSymbolPoolsAreCorrupt) {
+  const StoreSnapshot base = MakeSnapshotWithAggregates();
+  ASSERT_TRUE(DecodeSnapshot(EncodeSnapshot(base)).ok());
+  const GraphSymbols& sym = base.graph.symbols();
+  const std::vector<
+      std::pair<std::string, std::function<void(SchemaAggregates*)>>>
+      cases = {
+          {"aggregate label-set",
+           [&](SchemaAggregates* a) {
+             RekeyFirst(&a->node_types[0].label_set_counts,
+                        sym.label_sets.size());
+           }},
+          {"aggregate key-set",
+           [&](SchemaAggregates* a) {
+             RekeyFirst(&a->node_types[0].key_set_counts,
+                        sym.key_sets.size() + 7);
+           }},
+          {"aggregate key",
+           [&](SchemaAggregates* a) {
+             RekeyFirst(&a->node_types[0].keys, sym.keys.size());
+           }},
+          {"aggregate source label-set",
+           [&](SchemaAggregates* a) {
+             RekeyFirst(&a->edge_types[0].src_set_counts,
+                        sym.label_sets.size());
+           }},
+          {"aggregate target label-set",
+           [&](SchemaAggregates* a) {
+             RekeyFirst(&a->edge_types[0].tgt_set_counts,
+                        sym.label_sets.size());
+           }},
+      };
+  for (const auto& [what, tamper] : cases) {
+    SCOPED_TRACE(what);
+    StoreSnapshot snap = base;
+    tamper(&snap.aggregates);
+    ASSERT_TRUE(snap.aggregates.ConsistentWith(snap.schema));
+    auto decoded = DecodeSnapshot(EncodeSnapshot(snap));
+    ASSERT_FALSE(decoded.ok());
+    EXPECT_EQ(decoded.status().code(), StatusCode::kParseError);
+    EXPECT_NE(decoded.status().message().find(what + " id "),
+              std::string::npos)
+        << decoded.status();
+  }
+}
+
+// A schema instance id past the graph's node/edge count decodes as a
+// corrupt snapshot, even with `folded` bumped to keep the aggregates
+// consistent with the schema.
+TEST(SnapshotTest, SchemaInstanceIdsOutsideTheGraphAreCorrupt) {
+  const StoreSnapshot base = MakeSnapshotWithAggregates();
+  {
+    StoreSnapshot snap = base;
+    snap.schema.node_types[0].instances.push_back(snap.graph.num_nodes());
+    ++snap.aggregates.node_types[0].folded;
+    ASSERT_TRUE(snap.aggregates.ConsistentWith(snap.schema));
+    auto decoded = DecodeSnapshot(EncodeSnapshot(snap));
+    ASSERT_FALSE(decoded.ok());
+    EXPECT_EQ(decoded.status().code(), StatusCode::kParseError);
+    EXPECT_NE(decoded.status().message().find(
+                  " node id " + std::to_string(snap.graph.num_nodes())),
+              std::string::npos)
+        << decoded.status();
+  }
+  {
+    StoreSnapshot snap = base;
+    snap.schema.edge_types[0].instances.push_back(snap.graph.num_edges() + 3);
+    ++snap.aggregates.edge_types[0].folded;
+    auto decoded = DecodeSnapshot(EncodeSnapshot(snap));
+    ASSERT_FALSE(decoded.ok());
+    EXPECT_EQ(decoded.status().code(), StatusCode::kParseError);
+    EXPECT_NE(decoded.status().message().find(
+                  " edge id " + std::to_string(snap.graph.num_edges() + 3)),
+              std::string::npos)
+        << decoded.status();
+  }
 }
 
 TEST(SnapshotTest, FileRoundTripAndTruncationRejection) {
@@ -417,6 +521,51 @@ TEST(DurableDiscovererTest, CorruptNewestSnapshotFallsBackToOlder) {
   auto schema = (*recovered)->Finish();
   ASSERT_TRUE(schema.ok()) << schema.status();
   EXPECT_EQ(SchemaToJson(*schema), reference);
+}
+
+// A snapshot whose aggregates disagree with its schema (one `folded` count
+// off by one) still recovers: RestoreState rebuilds the aggregates, so the
+// next deletion batch retracts from a full state and Finish equals an
+// untampered run's.
+TEST(DurableDiscovererTest, InconsistentSnapshotAggregatesAreRebuilt) {
+  PropertyGraph g = MakeTestGraph();
+  const std::vector<BatchPayload> batches = MakeStreamBatches(g, 4);
+  auto run = [&](const std::string& dir, bool tamper) {
+    {
+      auto store = DurableDiscoverer::OpenOrRecover(dir, FastOptions());
+      EXPECT_TRUE(store.ok()) << store.status();
+      for (const BatchPayload& b : batches) {
+        EXPECT_TRUE((*store)->Feed(b).ok());
+      }
+      EXPECT_TRUE((*store)->Checkpoint().ok());
+    }
+    if (tamper) {
+      const std::string path = ListSnapshotFiles(dir).front();
+      StoreSnapshot snap = ReadSnapshotFile(path).value();
+      EXPECT_TRUE(snap.has_aggregates);
+      --snap.aggregates.node_types[0].folded;
+      EXPECT_TRUE(WriteSnapshotFile(path, EncodeSnapshot(snap)).ok());
+    }
+    RecoveryReport report;
+    auto store = DurableDiscoverer::OpenOrRecover(dir, FastOptions(), &report);
+    EXPECT_TRUE(store.ok()) << store.status();
+    EXPECT_TRUE(report.corrupt_snapshots.empty()) << report.ToString();
+    EXPECT_TRUE((*store)->engine().aggregates().ConsistentWith(
+        (*store)->engine().schema()));
+    // Delete node 0 with every edge incident to it.
+    BatchPayload deletion;
+    deletion.mutations.delete_nodes = {0};
+    for (const auto& e : (*store)->graph().edges()) {
+      if (e.source == 0 || e.target == 0) {
+        deletion.mutations.delete_edges.push_back(e.id);
+      }
+    }
+    EXPECT_TRUE((*store)->Feed(deletion).ok());
+    auto schema = (*store)->Finish();
+    EXPECT_TRUE(schema.ok()) << schema.status();
+    return SchemaToJson(*schema);
+  };
+  EXPECT_EQ(run(TestDir("tampered"), true), run(TestDir("intact"), false));
 }
 
 TEST(DurableDiscovererTest, CheckpointPolicyPrunesJournalAndSnapshots) {

@@ -13,7 +13,8 @@
 # The ASan/UBSan leg rebuilds the store, csv (tokenizer + graph loader),
 # parser, golden-equivalence and snapshot-compat tests in build-asan/ with
 # -DPGHIVE_SANITIZE=address,undefined and drives a durable
-# discover -> crash-free resume -> inspect-state cycle through the CLI, so
+# discover -> crash-free resume -> inspect-state cycle and a
+# discover --deletions run through the CLI, so
 # the binary-format decoders run their corrupt-input paths under the memory
 # and UB detectors and the interned-core refactor is re-verified against
 # the pre-refactor golden schemas under ASan.
@@ -132,8 +133,7 @@ head = sum(delta[:4]) / 4
 tail = sum(delta[-4:]) / 4
 floor = 0.002
 print(f"incremental post-process ({len(delta)} batches): "
-      f"first-4 mean {head * 1e3:.3f} ms, last-4 mean {tail * 1e3:.3f} ms, "
-      f"rescan speedup {incs[0]['speedup_vs_rescan']:.1f}x")
+      f"first-4 mean {head * 1e3:.3f} ms, last-4 mean {tail * 1e3:.3f} ms")
 if tail > max(head, floor) * 2.0:
     raise SystemExit(
         f"QUADRATIC GROWTH: per-batch post-processing rose from "
@@ -260,6 +260,32 @@ cmake --build build-asan -j "${JOBS}" \
 ./build-asan/apps/pghive resume "${tmpdir}/pole2" --incremental 4 \
   --state-dir "${tmpdir}/state" > /dev/null
 ./build-asan/apps/pghive inspect-state "${tmpdir}/state" > /dev/null
+# discover --deletions retracts through FeedMutations: a closed deletion
+# file (every 7th node with all of its incident edges, plus every 11th
+# edge), applied after a one-batch and a 4-batch discovery.
+python3 - "${tmpdir}/pole2.nodes.csv" "${tmpdir}/pole2.edges.csv" \
+  > "${tmpdir}/deletions.txt" <<'PYEOF'
+import csv, sys
+
+with open(sys.argv[1], newline="") as f:
+    num_nodes = sum(1 for _ in csv.reader(f)) - 1
+dead = set(range(0, num_nodes, 7))
+print("# every 7th node, its incident edges, and every 11th edge")
+for n in sorted(dead):
+    print(f"node {n}")
+with open(sys.argv[2], newline="") as f:
+    rows = csv.reader(f)
+    next(rows)
+    for i, row in enumerate(rows):
+        if i % 11 == 0 or int(row[0]) in dead or int(row[1]) in dead:
+            print(f"edge {i}")
+PYEOF
+for batches in 1 4; do
+  ./build-asan/apps/pghive discover "${tmpdir}/pole2" \
+    --incremental "${batches}" --deletions "${tmpdir}/deletions.txt" \
+    --format json > "${tmpdir}/deletions-${batches}.out"
+  grep -q '^deletions: removed ' "${tmpdir}/deletions-${batches}.out"
+done
 
 echo "=== serve smoke: daemon schema byte-identical to one-shot discover ==="
 # Start the daemon (under ASan) on an ephemeral port — with request tracing
