@@ -92,7 +92,7 @@ void BM_JournalAppend(benchmark::State& state) {
   const bool fsync = state.range(0) == 1;
   std::vector<BatchPayload> batches = MakeStreamBatches(BenchGraph(), 10);
   BinaryWriter payload;
-  EncodeBatchPayload(batches[0].nodes, batches[0].edges, &payload);
+  EncodeBatchPayloadV3(batches[0], &payload);
   std::string dir = BenchDir("journal");
 
   uint64_t id = 0;
@@ -122,7 +122,6 @@ void BM_OpenOrRecover(benchmark::State& state) {
   opt.fsync = false;
   opt.checkpoint_every_batches = 0;
   opt.checkpoint_every_bytes = 0;
-  opt.snapshot_value_stats = false;
   std::vector<BatchPayload> batches = MakeStreamBatches(BenchGraph(), 8);
   std::string dir = BenchDir("recover_" + std::to_string(replay));
   {

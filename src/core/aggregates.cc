@@ -23,7 +23,7 @@ void HistShift(std::map<uint64_t, uint64_t>* hist, uint64_t from,
 }
 
 /// Folds one element (node or edge) into its type's accumulator: key-set +
-/// label-set histograms, per-key datatype tally + numeric partials. The
+/// label-set histograms and the per-key datatype tally. The
 /// element's value row is aligned with its key set's canonical
 /// (lexicographic) key order, so the key ids and values pair up
 /// positionally — no per-key lookup.
@@ -36,16 +36,7 @@ void FoldElement(const GraphSymbols& sym, const Elem& el, TypeAggregate* agg) {
   for (size_t i = 0; i < key_ids.size(); ++i) {
     PropertyAggregate& pa = agg->keys[key_ids[i]];
     ++pa.present;
-    const Value& v = el.properties.value_at(i);
-    const DataType dt = v.type();
-    ++pa.type_counts[static_cast<size_t>(dt)];
-    if (dt == DataType::kInt || dt == DataType::kDouble) {
-      const double x = dt == DataType::kInt ? static_cast<double>(v.AsInt())
-                                            : v.AsDouble();
-      if (pa.numeric_count == 0 || x < pa.numeric_min) pa.numeric_min = x;
-      if (pa.numeric_count == 0 || x > pa.numeric_max) pa.numeric_max = x;
-      ++pa.numeric_count;
-    }
+    ++pa.type_counts[static_cast<size_t>(el.properties.value_at(i).type())];
   }
 }
 
@@ -92,116 +83,66 @@ bool DecrementCount(Map* map, const Key& key) {
 
 /// Inverse of FoldElement. Map entries are erased at count zero so the
 /// retracted state matches a fresh fold of the survivors bit-for-bit.
+/// False on underflow.
 template <typename Elem>
-void RetractElement(const GraphSymbols& sym, const Elem& el,
-                    TypeAggregate* agg, RetractOutcome* out) {
-  if (agg->folded == 0) {
-    out->ok = false;
-    return;
-  }
+bool RetractElement(const GraphSymbols& sym, const Elem& el,
+                    TypeAggregate* agg) {
+  if (agg->folded == 0) return false;
   --agg->folded;
-  if (!DecrementCount(&agg->key_set_counts, el.key_set)) out->ok = false;
-  if (!DecrementCount(&agg->label_set_counts, el.label_set)) out->ok = false;
+  bool ok = DecrementCount(&agg->key_set_counts, el.key_set);
+  if (!DecrementCount(&agg->label_set_counts, el.label_set)) ok = false;
   const std::vector<SymbolId>& key_ids = sym.key_sets.ids(el.key_set);
   for (size_t i = 0; i < key_ids.size(); ++i) {
     auto kit = agg->keys.find(key_ids[i]);
     if (kit == agg->keys.end()) {
-      out->ok = false;
+      ok = false;
       continue;
     }
     PropertyAggregate& pa = kit->second;
-    const Value& v = el.properties.value_at(i);
-    const DataType dt = v.type();
-    const size_t d = static_cast<size_t>(dt);
+    const size_t d = static_cast<size_t>(el.properties.value_at(i).type());
     if (pa.present == 0 || pa.type_counts[d] == 0) {
-      out->ok = false;
+      ok = false;
       continue;
     }
     --pa.present;
     --pa.type_counts[d];
-    if (dt == DataType::kInt || dt == DataType::kDouble) {
-      if (pa.numeric_count == 0) {
-        out->ok = false;
-      } else {
-        --pa.numeric_count;
-        const double x = dt == DataType::kInt ? static_cast<double>(v.AsInt())
-                                              : v.AsDouble();
-        if (pa.numeric_count == 0) {
-          // Back to the fresh-accumulator state (matters for operator==
-          // against a rebuild).
-          pa.numeric_min = 0.0;
-          pa.numeric_max = 0.0;
-        } else if (x <= pa.numeric_min || x >= pa.numeric_max) {
-          out->rescan_keys.push_back(key_ids[i]);
-        }
-      }
-    }
     if (pa.present == 0) agg->keys.erase(kit);
   }
+  return ok;
 }
 
-/// Inverse of FoldEdgeEndpoints.
-void RetractEdgeEndpoints(const PropertyGraph& g, const Edge& e,
-                          TypeAggregate* agg, RetractOutcome* out) {
-  if (!DecrementCount(&agg->src_set_counts, g.node(e.source).label_set)) {
-    out->ok = false;
-  }
+/// Inverse of FoldEdgeEndpoints. False on underflow.
+bool RetractEdgeEndpoints(const PropertyGraph& g, const Edge& e,
+                          TypeAggregate* agg) {
+  bool ok = DecrementCount(&agg->src_set_counts, g.node(e.source).label_set);
   if (!DecrementCount(&agg->tgt_set_counts, g.node(e.target).label_set)) {
-    out->ok = false;
+    ok = false;
   }
   auto retract_one =
       [&](std::unordered_map<NodeId, std::unordered_map<NodeId, uint64_t>>*
               counts,
           std::map<uint64_t, uint64_t>* hist, NodeId endpoint, NodeId other) {
         auto it = counts->find(endpoint);
-        if (it == counts->end()) {
-          out->ok = false;
-          return;
-        }
+        if (it == counts->end()) return false;
         auto jt = it->second.find(other);
-        if (jt == it->second.end() || jt->second == 0) {
-          out->ok = false;
-          return;
-        }
+        if (jt == it->second.end() || jt->second == 0) return false;
         if (--jt->second == 0) {
           const uint64_t degree = it->second.size();
           it->second.erase(jt);
           HistShift(hist, degree, degree - 1);
           if (it->second.empty()) counts->erase(it);
         }
+        return true;
       };
-  retract_one(&agg->out_counts, &agg->out_degree_hist, e.source, e.target);
-  retract_one(&agg->in_counts, &agg->in_degree_hist, e.target, e.source);
-}
-
-/// Recomputes min/max over the surviving instances carrying `key` (numeric
-/// values only). Shared by the node/edge rescan entry points.
-template <typename GetElem>
-void RescanNumericExtrema(const GraphSymbols& sym,
-                          const std::vector<size_t>& instances, GetElem get,
-                          SymbolId key, PropertyAggregate* pa) {
-  bool any = false;
-  double lo = 0.0, hi = 0.0;
-  for (size_t id : instances) {
-    const auto& el = get(id);
-    const std::vector<SymbolId>& key_ids = sym.key_sets.ids(el.key_set);
-    for (size_t i = 0; i < key_ids.size(); ++i) {
-      if (key_ids[i] != key) continue;
-      const Value& v = el.properties.value_at(i);
-      const DataType dt = v.type();
-      if (dt == DataType::kInt || dt == DataType::kDouble) {
-        const double x = dt == DataType::kInt
-                             ? static_cast<double>(v.AsInt())
-                             : v.AsDouble();
-        if (!any || x < lo) lo = x;
-        if (!any || x > hi) hi = x;
-        any = true;
-      }
-      break;
-    }
+  if (!retract_one(&agg->out_counts, &agg->out_degree_hist, e.source,
+                   e.target)) {
+    ok = false;
   }
-  pa->numeric_min = any ? lo : 0.0;
-  pa->numeric_max = any ? hi : 0.0;
+  if (!retract_one(&agg->in_counts, &agg->in_degree_hist, e.target,
+                   e.source)) {
+    ok = false;
+  }
+  return ok;
 }
 
 /// Joins the distinct observed datatypes of a tally in enum order. Equal to
@@ -238,15 +179,6 @@ void PropertyAggregate::Merge(const PropertyAggregate& other) {
   present += other.present;
   for (size_t d = 0; d < kNumDataTypes; ++d) {
     type_counts[d] += other.type_counts[d];
-  }
-  if (other.numeric_count > 0) {
-    if (numeric_count == 0 || other.numeric_min < numeric_min) {
-      numeric_min = other.numeric_min;
-    }
-    if (numeric_count == 0 || other.numeric_max > numeric_max) {
-      numeric_max = other.numeric_max;
-    }
-    numeric_count += other.numeric_count;
   }
 }
 
@@ -391,8 +323,8 @@ SchemaAggregates BuildAggregates(const PropertyGraph& g,
   // One chunked reduction per element kind over the flattened
   // (type, instance) index space: chunk boundaries depend only on the total
   // instance count, partials merge in ascending chunk order, and every
-  // component (counts, map unions, growth-driven maxima) is exact under
-  // merging — so the merged content is independent of the chunking.
+  // component is a count, exact under merging — so the merged content is
+  // independent of the chunking.
   auto build = [&](const auto& types, std::vector<TypeAggregate>* out,
                    auto fold_one) {
     std::vector<size_t> offset(types.size() + 1, 0);
@@ -448,33 +380,15 @@ void FoldEdgeElement(const PropertyGraph& g, const Edge& e,
   FoldEdgeEndpoints(g, e, agg);
 }
 
-void RetractNodeElement(const GraphSymbols& sym, const Node& n,
-                        TypeAggregate* agg, RetractOutcome* out) {
-  RetractElement(sym, n, agg, out);
+bool RetractNodeElement(const GraphSymbols& sym, const Node& n,
+                        TypeAggregate* agg) {
+  return RetractElement(sym, n, agg);
 }
 
-void RetractEdgeElement(const PropertyGraph& g, const Edge& e,
-                        TypeAggregate* agg, RetractOutcome* out) {
-  RetractElement(g.symbols(), e, agg, out);
-  RetractEdgeEndpoints(g, e, agg, out);
-}
-
-void RescanNodeNumericExtrema(const PropertyGraph& g, const SchemaNodeType& t,
-                              SymbolId key, PropertyAggregate* pa) {
-  RescanNumericExtrema(
-      g.symbols(), t.instances, [&](size_t id) -> const Node& {
-        return g.node(id);
-      },
-      key, pa);
-}
-
-void RescanEdgeNumericExtrema(const PropertyGraph& g, const SchemaEdgeType& t,
-                              SymbolId key, PropertyAggregate* pa) {
-  RescanNumericExtrema(
-      g.symbols(), t.instances, [&](size_t id) -> const Edge& {
-        return g.edge(id);
-      },
-      key, pa);
+bool RetractEdgeElement(const PropertyGraph& g, const Edge& e,
+                        TypeAggregate* agg) {
+  const bool ok = RetractElement(g.symbols(), e, agg);
+  return RetractEdgeEndpoints(g, e, agg) && ok;
 }
 
 TypeAggregate RebuildNodeAggregate(const PropertyGraph& g,

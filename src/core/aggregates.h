@@ -14,12 +14,11 @@
 //                  (commutative, associative, idempotent: Int⊔Double=Double,
 //                  Date⊔Timestamp=Timestamp, mixed=String), so joining the
 //                  DISTINCT observed types from the tally reproduces the
-//                  sequential left fold exactly. Numeric value-stats partials
-//                  (count/min/max) ride along for the snapshot statistics.
-//   cardinalities  per-(edge type, endpoint) distinct-neighbour sets with a
-//                  running maximum, updated whenever a set grows. Set growth
-//                  is monotone, so the running maximum equals the maximum
-//                  over the final set sizes — exact, not approximate.
+//                  sequential left fold exactly.
+//   cardinalities  per-(edge type, endpoint) counted neighbour maps plus a
+//                  histogram of distinct degrees (degree -> endpoint count);
+//                  the maximum degree is the histogram's last key — exact,
+//                  not approximate.
 //
 // Because type extraction only ever APPENDS instances to a type (stable type
 // indices, each instance assigned exactly once — see core/type_extraction.h),
@@ -30,36 +29,28 @@
 // number of instances.
 //
 // The one-shot pipeline builds the same aggregates in a single chunked
-// ParallelReduceOrdered pass. All components are integer counts, map unions
-// and monotone maxima, so the merged aggregate content — and therefore the
+// ParallelReduceOrdered pass. Every component is an integer count (or a map
+// of counts), so the merged aggregate content — and therefore the
 // finalized schema — is bit-identical at any thread count and identical to
 // the sequential rescan passes kept as a test oracle in tests/rescan_oracle.h
 // (guarded by tests/golden_equivalence_test).
 //
 // NOT delta-maintainable: the datatype sampling mode (the RNG consumes draws
 // in (type, key) order over the concrete value list, which the tally cannot
-// reproduce) and the full value statistics (top-k values, distinct counts,
-// enum domains). Both keep their value scans (InferDataTypes with
-// options.sample, ComputeValueStats).
+// reproduce). It keeps its value scan (InferDataTypes with options.sample).
 //
-// Retraction (mutation streams): every component is a counted histogram, so
-// elements SUBTRACT as cleanly as they add — key-set counts, per-key
-// presence, datatype tallies and the counted degree maps all decrement, and
-// map entries are erased when their count reaches zero (so retracted state
-// is bit-identical to a fresh fold of the survivors). Two components are
-// not directly invertible and carry explicit recovery paths:
+// Retraction (mutation streams): every component is a count, so elements
+// SUBTRACT as cleanly as they add — key-set and label-set counts, per-key
+// presence, datatype tallies, endpoint label-set counts and the counted
+// degree maps all decrement, and map entries are erased when their count
+// reaches zero (so retracted state is bit-identical to a fresh fold of the
+// survivors). The datatype JOIN is not invertible, but nothing stores it:
+// FinalizeDataTypes re-derives it from the tally through the
+// GeneralizeDataType semilattice, so narrowing (e.g. the last Double
+// retires and the key becomes Int again) falls out for free.
 //
-//   * numeric min/max partials — retracting a value equal to the running
-//     extremum invalidates it; Retract*Element reports the affected keys
-//     and the caller rescans the type's surviving instances for just those
-//     keys (Rescan*NumericExtrema).
-//   * datatype joins — the JOIN itself is not invertible, but the TALLY is:
-//     FinalizeDataTypes re-joins the distinct surviving datatypes through
-//     the GeneralizeDataType semilattice, so narrowing (e.g. the last
-//     Double retires and the key becomes Int again) falls out for free.
-//
-// Any underflow (retracting something never folded) flips RetractOutcome::ok
-// to false; the caller rebuilds the whole type accumulator from its
+// Any underflow (retracting something never folded) makes Retract*Element
+// return false; the caller rebuilds the whole type accumulator from its
 // surviving instances (Rebuild*Aggregate).
 //
 // Contract: aggregates track the schema's instance lists exactly — grow via
@@ -94,10 +85,6 @@ struct PropertyAggregate {
   uint64_t present = 0;
   /// Observed value count per DataType (indexed by the enum value).
   std::array<uint64_t, kNumDataTypes> type_counts{};
-  /// Numeric value-stats partials: count/min/max over Int and Double values.
-  uint64_t numeric_count = 0;
-  double numeric_min = 0.0;
-  double numeric_max = 0.0;
 
   void Merge(const PropertyAggregate& other);
 
@@ -169,7 +156,7 @@ struct SchemaAggregates {
   bool FoldNew(const PropertyGraph& g, const SchemaGraph& schema);
 
   /// Index-wise merge for the parallel one-shot build (counts add, maps
-  /// union, maxima update on set growth).
+  /// union).
   void Merge(const SchemaAggregates& other);
 
   void Clear();
@@ -204,29 +191,13 @@ void FoldNodeElement(const GraphSymbols& sym, const Node& n,
 void FoldEdgeElement(const PropertyGraph& g, const Edge& e,
                      TypeAggregate* agg);
 
-/// What a retraction could not undo exactly.
-struct RetractOutcome {
-  /// False when any count underflowed — the element was never folded into
-  /// this accumulator, so its state is unusable until rebuilt.
-  bool ok = true;
-  /// Keys whose retracted numeric value equalled the running min or max;
-  /// the caller must Rescan*NumericExtrema them over the survivors.
-  std::vector<SymbolId> rescan_keys;
-};
-
 /// Retracts one previously folded element (inverse of Fold*Element).
-void RetractNodeElement(const GraphSymbols& sym, const Node& n,
-                        TypeAggregate* agg, RetractOutcome* out);
-void RetractEdgeElement(const PropertyGraph& g, const Edge& e,
-                        TypeAggregate* agg, RetractOutcome* out);
-
-/// Recomputes the numeric min/max partials of (type, key) over the type's
-/// CURRENT instance list (call after the list has been compacted to the
-/// survivors). numeric_count is maintained by retraction and untouched.
-void RescanNodeNumericExtrema(const PropertyGraph& g, const SchemaNodeType& t,
-                              SymbolId key, PropertyAggregate* pa);
-void RescanEdgeNumericExtrema(const PropertyGraph& g, const SchemaEdgeType& t,
-                              SymbolId key, PropertyAggregate* pa);
+/// Returns false when a count underflowed — the element was never folded
+/// into this accumulator, so its state is unusable until rebuilt.
+bool RetractNodeElement(const GraphSymbols& sym, const Node& n,
+                        TypeAggregate* agg);
+bool RetractEdgeElement(const PropertyGraph& g, const Edge& e,
+                        TypeAggregate* agg);
 
 /// Fresh fold of a single type's surviving instances — the rebuild path for
 /// retraction underflow.

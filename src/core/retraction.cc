@@ -1,7 +1,6 @@
 #include "core/retraction.h"
 
 #include <algorithm>
-#include <functional>
 #include <unordered_set>
 
 #include "graph/symbols.h"
@@ -66,18 +65,17 @@ void RecomputeDerivedSets(const GraphSymbols& sym, const TypeAggregate& agg,
 }
 
 /// Shared per-kind driver. `retract_one` subtracts one element from the
-/// aggregate; `rescan` recomputes one (type, key) extremum; `rebuild`
-/// refolds the whole type from survivors.
+/// aggregate (false on underflow); `rebuild` refolds the whole type from
+/// survivors.
 template <typename TypeVec, typename Id, typename TypeOfFn, typename EraseFn,
-          typename RetractFn, typename RescanFn, typename RebuildFn>
+          typename RetractFn, typename RebuildFn>
 Status RetractKind(const std::vector<Id>& deleted,
                    const char* what, TypeVec* types,
                    std::vector<TypeAggregate>* aggs,
                    std::unordered_map<uint64_t, std::vector<Id>>* by_type_out,
                    const TypeOfFn& type_of, const EraseFn& erase_id,
-                   const RetractFn& retract_one, const RescanFn& rescan,
-                   const RebuildFn& rebuild, uint64_t* retracted,
-                   uint64_t* rebuilds, uint64_t* rescans) {
+                   const RetractFn& retract_one, const RebuildFn& rebuild,
+                   uint64_t* retracted, uint64_t* rebuilds) {
   // Group by owning type, consuming the index entries as we go so a
   // double-delete inside one batch fails the lookup like any unknown id.
   std::unordered_map<uint64_t, std::vector<Id>>& by_type = *by_type_out;
@@ -95,8 +93,8 @@ Status RetractKind(const std::vector<Id>& deleted,
   for (auto& [t, ids] : by_type) {
     auto& type = (*types)[t];
     TypeAggregate& agg = (*aggs)[t];
-    // Compact the instance list FIRST: extremum rescans and underflow
-    // rebuilds must see only survivors.
+    // Compact the instance list FIRST: an underflow rebuild must see only
+    // survivors.
     const std::unordered_set<uint64_t> dead(ids.begin(), ids.end());
     size_t w = 0;
     for (size_t r = 0; r < type.instances.size(); ++r) {
@@ -110,23 +108,13 @@ Status RetractKind(const std::vector<Id>& deleted,
     }
     type.instances.resize(w);
 
-    RetractOutcome out;
-    for (Id id : ids) retract_one(id, &agg, &out);
-    if (!out.ok) {
+    bool ok = true;
+    for (Id id : ids) {
+      if (!retract_one(id, &agg)) ok = false;
+    }
+    if (!ok) {
       agg = rebuild(type);
       ++*rebuilds;
-    } else if (!out.rescan_keys.empty()) {
-      std::sort(out.rescan_keys.begin(), out.rescan_keys.end());
-      out.rescan_keys.erase(
-          std::unique(out.rescan_keys.begin(), out.rescan_keys.end()),
-          out.rescan_keys.end());
-      for (SymbolId key : out.rescan_keys) {
-        // The key's last carrier may have retracted, erasing the entry.
-        auto it = agg.keys.find(key);
-        if (it == agg.keys.end()) continue;
-        rescan(type, key, &it->second);
-        ++*rescans;
-      }
     }
     *retracted += ids.size();
   }
@@ -150,30 +138,22 @@ Status RetractInstances(const PropertyGraph& g,
       deleted_edges, "edge", &schema->edge_types, &aggregates->edge_types,
       &edges_by_type, [&](EdgeId id) { return index->EdgeTypeOf(id); },
       [&](EdgeId id) { index->EraseEdge(id); },
-      [&](EdgeId id, TypeAggregate* agg, RetractOutcome* out) {
-        RetractEdgeElement(g, g.edge(id), agg, out);
-      },
-      [&](const SchemaEdgeType& t, SymbolId key, PropertyAggregate* pa) {
-        RescanEdgeNumericExtrema(g, t, key, pa);
+      [&](EdgeId id, TypeAggregate* agg) {
+        return RetractEdgeElement(g, g.edge(id), agg);
       },
       [&](const SchemaEdgeType& t) { return RebuildEdgeAggregate(g, t); },
-      &stats->edges_retracted, &stats->aggregate_rebuilds,
-      &stats->extremum_rescans));
+      &stats->edges_retracted, &stats->aggregate_rebuilds));
 
   std::unordered_map<uint64_t, std::vector<NodeId>> nodes_by_type;
   PGHIVE_RETURN_NOT_OK(RetractKind(
       deleted_nodes, "node", &schema->node_types, &aggregates->node_types,
       &nodes_by_type, [&](NodeId id) { return index->NodeTypeOf(id); },
       [&](NodeId id) { index->EraseNode(id); },
-      [&](NodeId id, TypeAggregate* agg, RetractOutcome* out) {
-        RetractNodeElement(sym, g.node(id), agg, out);
-      },
-      [&](const SchemaNodeType& t, SymbolId key, PropertyAggregate* pa) {
-        RescanNodeNumericExtrema(g, t, key, pa);
+      [&](NodeId id, TypeAggregate* agg) {
+        return RetractNodeElement(sym, g.node(id), agg);
       },
       [&](const SchemaNodeType& t) { return RebuildNodeAggregate(g, t); },
-      &stats->nodes_retracted, &stats->aggregate_rebuilds,
-      &stats->extremum_rescans));
+      &stats->nodes_retracted, &stats->aggregate_rebuilds));
 
   // Dangling-edge check: a deleted node must not survive as an endpoint of
   // a live edge. Checking only the touched edges' endpoints would miss

@@ -10,9 +10,8 @@
 //
 //   * instance lists compact order-preservingly (survivors keep their
 //     relative order, exactly as if the deleted ids were never assigned);
-//   * aggregates subtract per element (Retract*Element), falling back to a
-//     single-type rebuild on underflow and to targeted extremum rescans for
-//     numeric min/max invalidation;
+//   * aggregates subtract per element (Retract*Element) — every component
+//     is a count — falling back to a single-type rebuild on underflow;
 //   * a type's derived sets (labels, property_keys, endpoint label sets)
 //     are recomputed from the aggregate's count-map keys — the union over
 //     the label/key sets still carried by at least one survivor — and
@@ -143,8 +142,6 @@ struct RetractionStats {
   uint64_t edge_types_retired = 0;
   /// Types whose accumulator underflowed and was rebuilt from survivors.
   uint64_t aggregate_rebuilds = 0;
-  /// (type, key) numeric min/max partials recomputed over survivors.
-  uint64_t extremum_rescans = 0;
 };
 
 /// Retracts the given elements from `schema` + `aggregates` (see file

@@ -62,8 +62,9 @@ struct GraphMutations {
 };
 
 /// One streamed batch: inserts plus mutations. A batch with an empty
-/// `mutations` member is exactly the pre-mutation append-only payload, and
-/// the journal keeps encoding it in the pre-mutation segment format.
+/// `mutations` member is exactly the pre-mutation append-only payload. The
+/// journal encodes every batch, with or without mutations, as a v3 record
+/// (store/journal.h).
 struct MutationBatch {
   std::vector<NodeData> nodes;
   std::vector<EdgeData> edges;

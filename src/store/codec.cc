@@ -426,14 +426,6 @@ Result<PropertyGraph> DecodeGraphColumnar(
   return g;
 }
 
-void EncodeBatchPayload(const std::vector<NodeData>& nodes,
-                        const std::vector<EdgeData>& edges, BinaryWriter* w) {
-  w->WriteU64(nodes.size());
-  for (const auto& n : nodes) EncodeNode(n, w);
-  w->WriteU64(edges.size());
-  for (const auto& e : edges) EncodeEdge(e, w);
-}
-
 Result<BatchPayload> DecodeBatchPayload(BinaryReader* r) {
   BatchPayload p;
   PGHIVE_ASSIGN_OR_RETURN(uint64_t num_nodes, r->ReadU64());
@@ -562,11 +554,11 @@ struct PropertyKeysOf {
   iterator end() const { return {props.end()}; }
 };
 
-}  // namespace
-
-void EncodeBatchPayloadV2(const std::vector<NodeData>& nodes,
-                          const std::vector<EdgeData>& edges,
-                          BinaryWriter* w) {
+/// The v2 insert half: a batch-local dictionary, then the element rows as
+/// set references. v3 payloads start with it.
+void EncodeBatchPayloadV2Body(const std::vector<NodeData>& nodes,
+                              const std::vector<EdgeData>& edges,
+                              BinaryWriter* w) {
   // Pass 1: build the batch-local dictionary and each element's set refs.
   BatchDict dict;
   std::vector<std::pair<uint32_t, uint32_t>> node_refs, edge_refs;
@@ -603,8 +595,6 @@ void EncodeBatchPayloadV2(const std::vector<NodeData>& nodes,
     w->WriteString(e.truth_type);
   }
 }
-
-namespace {
 
 /// The v2 insert half without the trailing-bytes check — v2 payloads end
 /// here, v3 payloads continue with the mutation arrays.
@@ -651,7 +641,7 @@ Result<BatchPayload> DecodeBatchPayloadV2(BinaryReader* r) {
 }
 
 void EncodeBatchPayloadV3(const BatchPayload& payload, BinaryWriter* w) {
-  EncodeBatchPayloadV2(payload.nodes, payload.edges, w);
+  EncodeBatchPayloadV2Body(payload.nodes, payload.edges, w);
   const GraphMutations& m = payload.mutations;
   EncodeIdVector(m.delete_nodes, w);
   EncodeIdVector(m.delete_edges, w);
@@ -762,97 +752,22 @@ Result<SchemaGraph> DecodeSchema(BinaryReader* r) {
 
 namespace {
 
-void EncodePropertyStats(const PropertyStats& s, BinaryWriter* w) {
-  w->WriteU64(s.observed);
-  w->WriteU64(s.absent);
-  w->WriteU64(s.distinct);
-  w->WriteU64(s.numeric_count);
-  w->WriteDouble(s.numeric_min);
-  w->WriteDouble(s.numeric_max);
-  w->WriteString(s.lexical_min);
-  w->WriteString(s.lexical_max);
-  w->WriteU32(static_cast<uint32_t>(s.top_values.size()));
-  for (const auto& [value, count] : s.top_values) {
-    w->WriteString(value);
-    w->WriteU64(count);
+/// ParseError unless the `i`-th decoded entry of an id-keyed map is
+/// canonical: ids strictly increasing, counts nonzero (the writer emits
+/// ordered maps and erases entries at count zero).
+Status CheckCanonicalEntry(uint32_t i, uint64_t id, uint64_t prev_id,
+                           uint64_t count, const char* what) {
+  if (i > 0 && id <= prev_id) {
+    return Status::ParseError(std::string(what) +
+                              " ids not strictly increasing");
   }
-  w->WriteU8(s.enum_candidate ? 1 : 0);
-  w->WriteU32(static_cast<uint32_t>(s.enum_domain.size()));
-  for (const auto& v : s.enum_domain) w->WriteString(v);
-}
-
-Result<PropertyStats> DecodePropertyStats(BinaryReader* r) {
-  PropertyStats s;
-  PGHIVE_ASSIGN_OR_RETURN(s.observed, r->ReadU64());
-  PGHIVE_ASSIGN_OR_RETURN(s.absent, r->ReadU64());
-  PGHIVE_ASSIGN_OR_RETURN(s.distinct, r->ReadU64());
-  PGHIVE_ASSIGN_OR_RETURN(s.numeric_count, r->ReadU64());
-  PGHIVE_ASSIGN_OR_RETURN(s.numeric_min, r->ReadDouble());
-  PGHIVE_ASSIGN_OR_RETURN(s.numeric_max, r->ReadDouble());
-  PGHIVE_ASSIGN_OR_RETURN(s.lexical_min, r->ReadString());
-  PGHIVE_ASSIGN_OR_RETURN(s.lexical_max, r->ReadString());
-  PGHIVE_ASSIGN_OR_RETURN(uint32_t num_top, r->ReadU32());
-  for (uint32_t i = 0; i < num_top; ++i) {
-    PGHIVE_ASSIGN_OR_RETURN(std::string value, r->ReadString());
-    PGHIVE_ASSIGN_OR_RETURN(uint64_t count, r->ReadU64());
-    s.top_values.emplace_back(std::move(value), count);
+  if (count == 0) {
+    return Status::ParseError(std::string("zero count in ") + what);
   }
-  PGHIVE_ASSIGN_OR_RETURN(uint8_t enum_candidate, r->ReadU8());
-  s.enum_candidate = enum_candidate != 0;
-  PGHIVE_ASSIGN_OR_RETURN(uint32_t num_domain, r->ReadU32());
-  for (uint32_t i = 0; i < num_domain; ++i) {
-    PGHIVE_ASSIGN_OR_RETURN(std::string v, r->ReadString());
-    s.enum_domain.push_back(std::move(v));
-  }
-  return s;
+  return Status::OK();
 }
 
-void EncodeTypeStats(const std::vector<TypeValueStats>& types,
-                     BinaryWriter* w) {
-  w->WriteU32(static_cast<uint32_t>(types.size()));
-  for (const auto& type : types) {
-    w->WriteU32(static_cast<uint32_t>(type.size()));
-    for (const auto& [key, stats] : type) {
-      w->WriteString(key);
-      EncodePropertyStats(stats, w);
-    }
-  }
-}
-
-Result<std::vector<TypeValueStats>> DecodeTypeStats(BinaryReader* r) {
-  PGHIVE_ASSIGN_OR_RETURN(uint32_t num_types, r->ReadU32());
-  std::vector<TypeValueStats> types;
-  types.reserve(num_types < 4096 ? num_types : 4096);
-  for (uint32_t i = 0; i < num_types; ++i) {
-    PGHIVE_ASSIGN_OR_RETURN(uint32_t num_props, r->ReadU32());
-    TypeValueStats type;
-    for (uint32_t j = 0; j < num_props; ++j) {
-      PGHIVE_ASSIGN_OR_RETURN(std::string key, r->ReadString());
-      PGHIVE_ASSIGN_OR_RETURN(PropertyStats stats, DecodePropertyStats(r));
-      type.emplace(std::move(key), std::move(stats));
-    }
-    types.push_back(std::move(type));
-  }
-  return types;
-}
-
-}  // namespace
-
-void EncodeValueStats(const SchemaValueStats& stats, BinaryWriter* w) {
-  EncodeTypeStats(stats.node_types, w);
-  EncodeTypeStats(stats.edge_types, w);
-}
-
-Result<SchemaValueStats> DecodeValueStats(BinaryReader* r) {
-  SchemaValueStats stats;
-  PGHIVE_ASSIGN_OR_RETURN(stats.node_types, DecodeTypeStats(r));
-  PGHIVE_ASSIGN_OR_RETURN(stats.edge_types, DecodeTypeStats(r));
-  return stats;
-}
-
-namespace {
-
-/// Counted degree map (snapshot v4): sorted endpoints, per endpoint the
+/// Counted degree map (snapshot v4+): sorted endpoints, per endpoint the
 /// sorted (neighbour, multiplicity) pairs. The degree histograms are a pure
 /// function of this map, so they are rebuilt on decode rather than stored.
 void EncodeCountedDegreeMap(
@@ -882,17 +797,27 @@ DecodeCountedDegreeMap(BinaryReader* r,
                        std::map<uint64_t, uint64_t>* degree_hist) {
   std::unordered_map<NodeId, std::unordered_map<NodeId, uint64_t>> m;
   PGHIVE_ASSIGN_OR_RETURN(uint32_t num_endpoints, r->ReadU32());
+  uint64_t prev_endpoint = 0;
   for (uint32_t i = 0; i < num_endpoints; ++i) {
     PGHIVE_ASSIGN_OR_RETURN(uint64_t endpoint, r->ReadU64());
     PGHIVE_ASSIGN_OR_RETURN(uint32_t num_others, r->ReadU32());
+    // An endpoint's count is its neighbour count: the writer erases an
+    // endpoint with its last neighbour.
+    PGHIVE_RETURN_NOT_OK(CheckCanonicalEntry(i, endpoint, prev_endpoint,
+                                             num_others,
+                                             "degree map endpoint"));
+    prev_endpoint = endpoint;
     auto& others = m[static_cast<NodeId>(endpoint)];
+    uint64_t prev_other = 0;
     for (uint32_t j = 0; j < num_others; ++j) {
       PGHIVE_ASSIGN_OR_RETURN(uint64_t other, r->ReadU64());
       PGHIVE_ASSIGN_OR_RETURN(uint64_t count, r->ReadU64());
-      if (count == 0) return Status::ParseError("zero-count degree entry");
+      PGHIVE_RETURN_NOT_OK(CheckCanonicalEntry(j, other, prev_other, count,
+                                               "degree map neighbour"));
+      prev_other = other;
       others[static_cast<NodeId>(other)] = count;
     }
-    if (num_others > 0) ++(*degree_hist)[num_others];
+    ++(*degree_hist)[num_others];
   }
   return m;
 }
@@ -907,12 +832,16 @@ void EncodeCountMap(const std::map<Id, uint64_t>& m, BinaryWriter* w) {
 }
 
 template <typename Id>
-Status DecodeCountMap(BinaryReader* r, std::map<Id, uint64_t>* m) {
+Status DecodeCountMap(BinaryReader* r, const char* what,
+                      std::map<Id, uint64_t>* m) {
   PGHIVE_ASSIGN_OR_RETURN(uint32_t entries, r->ReadU32());
+  uint32_t prev = 0;
   for (uint32_t i = 0; i < entries; ++i) {
     PGHIVE_ASSIGN_OR_RETURN(uint32_t id, r->ReadU32());
     PGHIVE_ASSIGN_OR_RETURN(uint64_t n, r->ReadU64());
-    (*m)[static_cast<Id>(id)] = n;
+    PGHIVE_RETURN_NOT_OK(CheckCanonicalEntry(i, id, prev, n, what));
+    prev = id;
+    m->emplace_hint(m->end(), static_cast<Id>(id), n);
   }
   return Status::OK();
 }
@@ -926,9 +855,6 @@ void EncodeTypeAggregate(const TypeAggregate& a, BinaryWriter* w) {
     w->WriteU32(sid);
     w->WriteU64(pa.present);
     for (uint64_t c : pa.type_counts) w->WriteU64(c);
-    w->WriteU64(pa.numeric_count);
-    w->WriteDouble(pa.numeric_min);
-    w->WriteDouble(pa.numeric_max);
   }
   EncodeCountMap(a.src_set_counts, w);
   EncodeCountMap(a.tgt_set_counts, w);
@@ -936,12 +862,20 @@ void EncodeTypeAggregate(const TypeAggregate& a, BinaryWriter* w) {
   EncodeCountedDegreeMap(a.in_counts, w);
 }
 
-Result<TypeAggregate> DecodeTypeAggregate(BinaryReader* r) {
+Result<TypeAggregate> DecodeTypeAggregate(BinaryReader* r,
+                                          uint32_t version) {
+  // v4 key entries end in a numeric count/min/max triple (u64 + 2 doubles)
+  // that nothing reads; it is skipped.
+  constexpr size_t kV4NumericTripleBytes =
+      sizeof(uint64_t) + 2 * sizeof(double);
   TypeAggregate a;
   PGHIVE_ASSIGN_OR_RETURN(a.folded, r->ReadU64());
-  PGHIVE_RETURN_NOT_OK(DecodeCountMap(r, &a.key_set_counts));
-  PGHIVE_RETURN_NOT_OK(DecodeCountMap(r, &a.label_set_counts));
+  PGHIVE_RETURN_NOT_OK(
+      DecodeCountMap(r, "aggregate key-set", &a.key_set_counts));
+  PGHIVE_RETURN_NOT_OK(
+      DecodeCountMap(r, "aggregate label-set", &a.label_set_counts));
   PGHIVE_ASSIGN_OR_RETURN(uint32_t num_keys, r->ReadU32());
+  uint32_t prev_sid = 0;
   for (uint32_t i = 0; i < num_keys; ++i) {
     PGHIVE_ASSIGN_OR_RETURN(uint32_t sid, r->ReadU32());
     PropertyAggregate pa;
@@ -949,13 +883,18 @@ Result<TypeAggregate> DecodeTypeAggregate(BinaryReader* r) {
     for (size_t d = 0; d < kNumDataTypes; ++d) {
       PGHIVE_ASSIGN_OR_RETURN(pa.type_counts[d], r->ReadU64());
     }
-    PGHIVE_ASSIGN_OR_RETURN(pa.numeric_count, r->ReadU64());
-    PGHIVE_ASSIGN_OR_RETURN(pa.numeric_min, r->ReadDouble());
-    PGHIVE_ASSIGN_OR_RETURN(pa.numeric_max, r->ReadDouble());
-    a.keys[static_cast<SymbolId>(sid)] = pa;
+    if (version == 4) {
+      PGHIVE_RETURN_NOT_OK(r->ReadBytes(kV4NumericTripleBytes).status());
+    }
+    PGHIVE_RETURN_NOT_OK(
+        CheckCanonicalEntry(i, sid, prev_sid, pa.present, "aggregate key"));
+    prev_sid = sid;
+    a.keys.emplace_hint(a.keys.end(), static_cast<SymbolId>(sid), pa);
   }
-  PGHIVE_RETURN_NOT_OK(DecodeCountMap(r, &a.src_set_counts));
-  PGHIVE_RETURN_NOT_OK(DecodeCountMap(r, &a.tgt_set_counts));
+  PGHIVE_RETURN_NOT_OK(
+      DecodeCountMap(r, "aggregate source label-set", &a.src_set_counts));
+  PGHIVE_RETURN_NOT_OK(
+      DecodeCountMap(r, "aggregate target label-set", &a.tgt_set_counts));
   PGHIVE_ASSIGN_OR_RETURN(a.out_counts,
                           DecodeCountedDegreeMap(r, &a.out_degree_hist));
   PGHIVE_ASSIGN_OR_RETURN(a.in_counts,
@@ -972,18 +911,18 @@ void EncodeAggregates(const SchemaAggregates& agg, BinaryWriter* w) {
   for (const auto& a : agg.edge_types) EncodeTypeAggregate(a, w);
 }
 
-Result<SchemaAggregates> DecodeAggregates(BinaryReader* r) {
+Result<SchemaAggregates> DecodeAggregates(BinaryReader* r, uint32_t version) {
   SchemaAggregates agg;
   PGHIVE_ASSIGN_OR_RETURN(uint32_t num_node_types, r->ReadU32());
   agg.node_types.reserve(num_node_types < 4096 ? num_node_types : 4096);
   for (uint32_t i = 0; i < num_node_types; ++i) {
-    PGHIVE_ASSIGN_OR_RETURN(TypeAggregate a, DecodeTypeAggregate(r));
+    PGHIVE_ASSIGN_OR_RETURN(TypeAggregate a, DecodeTypeAggregate(r, version));
     agg.node_types.push_back(std::move(a));
   }
   PGHIVE_ASSIGN_OR_RETURN(uint32_t num_edge_types, r->ReadU32());
   agg.edge_types.reserve(num_edge_types < 4096 ? num_edge_types : 4096);
   for (uint32_t i = 0; i < num_edge_types; ++i) {
-    PGHIVE_ASSIGN_OR_RETURN(TypeAggregate a, DecodeTypeAggregate(r));
+    PGHIVE_ASSIGN_OR_RETURN(TypeAggregate a, DecodeTypeAggregate(r, version));
     agg.edge_types.push_back(std::move(a));
   }
   return agg;

@@ -5,6 +5,10 @@
 // stored as raw bit patterns, containers in their deterministic iteration
 // order). Decoders are bounds-checked and return ParseError on truncated or
 // malformed bytes — they never crash on corrupt input.
+//
+// Journal payloads are written only in the v3 layout and aggregates only in
+// the snapshot-v5 layout; the v1/v2 payload and v4 aggregates decoders stay
+// for reading the state directories those versions wrote.
 
 #ifndef PGHIVE_STORE_CODEC_H_
 #define PGHIVE_STORE_CODEC_H_
@@ -18,7 +22,6 @@
 #include "common/result.h"
 #include "core/aggregates.h"
 #include "core/schema.h"
-#include "core/value_stats.h"
 #include "graph/mutations.h"
 #include "graph/property_graph.h"
 #include "lsh/adaptive_params.h"
@@ -67,27 +70,23 @@ Result<PropertyGraph> DecodeGraphColumnar(
     BinaryReader* r, std::shared_ptr<GraphSymbols> symbols);
 
 /// One journal batch payload: the node and edge rows of a single
-/// incremental batch, in insertion order, plus (v3 segments onward) the
-/// batch's mutation half. Edge endpoints are global NodeIds into the
-/// accumulated graph. v1/v2 codecs only carry the insert half — a payload
-/// with mutations forces a v3 segment (state_store rotates).
+/// incremental batch, in insertion order, plus the batch's mutation half.
+/// Edge endpoints are global NodeIds into the accumulated graph.
 using BatchPayload = MutationBatch;
-void EncodeBatchPayload(const std::vector<NodeData>& nodes,
-                        const std::vector<EdgeData>& edges, BinaryWriter* w);
+
+/// Journal-v1 batch payload (read only): node count + nodes, edge count +
+/// edges, every element spelling its strings out. Insert half only.
 Result<BatchPayload> DecodeBatchPayload(BinaryReader* r);
 
-/// Journal-v2 batch payload: a batch-local string dictionary + set table,
-/// then per-element set references — each distinct label/key string is
-/// written once per batch instead of once per element. Decodes to the same
-/// BatchPayload as v1 (replay re-interns through AddNode/AddEdge).
-void EncodeBatchPayloadV2(const std::vector<NodeData>& nodes,
-                          const std::vector<EdgeData>& edges,
-                          BinaryWriter* w);
+/// Journal-v2 batch payload (read only): a batch-local string dictionary +
+/// set table, then per-element set references — each distinct label/key
+/// string once per batch instead of once per element. Insert half only.
 Result<BatchPayload> DecodeBatchPayloadV2(BinaryReader* r);
 
-/// Journal-v3 batch payload: the v2 dictionary body for the insert half,
-/// followed by delete-node / delete-edge id vectors and update records
-/// (old id + replacement element). Round-trips the full MutationBatch.
+/// Journal-v3 batch payload, the only one written: the v2 dictionary body
+/// for the insert half, followed by delete-node / delete-edge id vectors
+/// and update records (old id + replacement element). Round-trips the full
+/// MutationBatch.
 void EncodeBatchPayloadV3(const BatchPayload& payload, BinaryWriter* w);
 Result<BatchPayload> DecodeBatchPayloadV3(BinaryReader* r);
 
@@ -96,21 +95,25 @@ Result<BatchPayload> DecodeBatchPayloadV3(BinaryReader* r);
 void EncodeSchema(const SchemaGraph& schema, BinaryWriter* w);
 Result<SchemaGraph> DecodeSchema(BinaryReader* r);
 
-// --- Post-processing statistics and LSH diagnostics. ---
+// --- Post-processing aggregates and LSH diagnostics. ---
 
-void EncodeValueStats(const SchemaValueStats& stats, BinaryWriter* w);
-Result<SchemaValueStats> DecodeValueStats(BinaryReader* r);
-
-/// Delta-maintained post-processing aggregates (snapshot v4 layout: counted
-/// label-set / endpoint-set histograms and counted degree maps, so the
-/// retraction-capable accumulators round-trip). The unordered degree maps
-/// serialize with sorted endpoint / neighbour ids, so equal aggregate
-/// content always yields identical bytes. Derived members (degree
-/// histograms, running maxima) are not stored — the decoder rebuilds them.
-/// The v3 layout is not decodable; snapshot.cc discards pre-v4 aggregate
-/// sections and recovery rebuilds from the graph.
+/// Delta-maintained post-processing aggregates (snapshot v5 layout: counted
+/// key-set / label-set / endpoint-set histograms, per-key presence and
+/// datatype tallies, and counted degree maps, so the retraction-capable
+/// accumulators round-trip). Every map serializes in ascending id order
+/// (the unordered degree maps are sorted first), so equal aggregate content
+/// always yields identical bytes. Derived members (degree histograms) are
+/// not stored — the decoder rebuilds them.
+///
+/// DecodeAggregates takes the snapshot's format version: v4 key entries
+/// carry a 24-byte numeric count/min/max triple that is read and dropped.
+/// The v3 layout is not decodable; snapshot.cc discards v3 aggregate
+/// sections and recovery rebuilds from the graph. The decoder accepts only
+/// what the writer emits — strictly increasing ids and nonzero counts in
+/// every count map, key map and degree map — and returns ParseError
+/// otherwise.
 void EncodeAggregates(const SchemaAggregates& agg, BinaryWriter* w);
-Result<SchemaAggregates> DecodeAggregates(BinaryReader* r);
+Result<SchemaAggregates> DecodeAggregates(BinaryReader* r, uint32_t version);
 
 void EncodeAdaptiveParams(const AdaptiveLshParams& p, BinaryWriter* w);
 Result<AdaptiveLshParams> DecodeAdaptiveParams(BinaryReader* r);

@@ -48,7 +48,7 @@ Status JournalWriter::Open(const std::string& path, bool fsync) {
   fsync_ = fsync;
   path_ = path;
   // O_RDWR (not O_WRONLY): reopening an existing segment reads its header
-  // version back, so appended records stay in the segment's own format.
+  // version back, so the caller can tell a pre-v3 segment apart.
   fd_ = ::open(path.c_str(), O_RDWR | O_CREAT | O_APPEND, 0644);
   if (fd_ < 0) return Errno("cannot open journal", path);
   struct stat st;

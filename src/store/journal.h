@@ -11,7 +11,8 @@
 //   "PGHJ" magic | u32 format_version            (segment header)
 //   then per record:
 //     u32 payload_size | u32 payload_crc | payload
-//   payload := u64 batch_id | EncodeBatchPayload bytes
+//   payload := u64 batch_id | batch payload bytes (codec.h; the segment
+//              header version picks the payload layout)
 //
 // A record is valid only when fully present with a matching CRC. Readers
 // stop at the first invalid record and report the byte offset of the last
@@ -34,15 +35,14 @@ namespace pghive {
 namespace store {
 
 inline constexpr char kJournalMagic[4] = {'P', 'G', 'H', 'J'};
-/// v1 payloads spell every element's strings out (EncodeBatchPayload); v2
-/// payloads carry a batch-local dictionary (EncodeBatchPayloadV2); v3
-/// payloads extend v2 with the batch's mutation half — delete-node /
-/// delete-edge id vectors and update records (EncodeBatchPayloadV3). The
-/// segment header version decides the payload codec for the whole segment:
-/// new segments are written v3, existing v1/v2 segments keep receiving
-/// records in their own format and still replay. A mutation-carrying batch
-/// cannot be appended to a pre-v3 segment — the store rotates to a fresh
-/// segment first.
+/// v1 payloads spell every element's strings out; v2 payloads carry a
+/// batch-local dictionary; v3 payloads extend v2 with the batch's mutation
+/// half — delete-node / delete-edge id vectors and update records. The
+/// segment header version decides the payload codec for the whole segment.
+/// Only v3 is written (EncodeBatchPayloadV3); v1-v3 segments are read
+/// (DecodeBatchPayload / V2 / V3). The store never appends to a pre-v3
+/// segment: one found under the name it opens holds no records and is
+/// replaced by a fresh v3 segment.
 inline constexpr uint32_t kJournalFormatVersion = 3;
 
 /// Appends length-prefixed, CRC-guarded batch records to one segment file.
@@ -68,9 +68,9 @@ class JournalWriter {
   const std::string& path() const { return path_; }
   /// Bytes appended through this writer (excluding the segment header).
   uint64_t bytes_written() const { return bytes_written_; }
-  /// The open segment's header version — appended record payloads must be
-  /// encoded in this version's batch-payload format (readers decode the
-  /// whole segment uniformly).
+  /// The open segment's header version (readers decode the whole segment
+  /// with this version's batch-payload codec). Fresh segments are
+  /// kJournalFormatVersion; an existing segment keeps its own.
   uint32_t format_version() const { return format_version_; }
 
  private:

@@ -102,7 +102,7 @@ const char* SnapshotSectionName(SnapshotSection s) {
       return "aliases";
     case SnapshotSection::kLshDiag:
       return "lsh-diag";
-    case SnapshotSection::kValueStats:
+    case SnapshotSection::kRetiredStats:
       return "value-stats";
     case SnapshotSection::kSymbols:
       return "symbols";
@@ -144,11 +144,6 @@ std::string EncodeSnapshot(const StoreSnapshot& snapshot, ThreadPool* pool) {
        }},
       {SnapshotSection::kAliases, [&s] { return EncodeAliases(s); }},
       {SnapshotSection::kLshDiag, [&s] { return EncodeLshDiag(s); }},
-      {SnapshotSection::kValueStats,
-       [&s] {
-         return EncodeWith(
-             [&s](BinaryWriter* w) { EncodeValueStats(s.value_stats, w); });
-       }},
   };
   // v3: the aggregates section is optional — written only when the engine
   // had usable aggregates, so a snapshot without them stays byte-identical
@@ -262,8 +257,8 @@ Status CheckIdsBelow(const Ids& ids, GetId get_id, uint64_t limit,
 }
 
 /// The schema and aggregates sections each decode on their own, but both
-/// index into the graph section, and recovery, retraction and value
-/// statistics dereference those ids unchecked. Run once per decode:
+/// index into the graph section, and recovery and retraction dereference
+/// those ids unchecked. Run once per decode:
 /// O(instances + aggregate entries).
 Status CheckCrossSectionIds(const StoreSnapshot& s) {
   auto id = [](uint64_t v) { return v; };
@@ -347,11 +342,6 @@ Result<StoreSnapshot> DecodeSnapshot(const std::string& bytes) {
       case SnapshotSection::kLshDiag:
         PGHIVE_RETURN_NOT_OK(DecodeLshDiag(payload, &snapshot));
         break;
-      case SnapshotSection::kValueStats: {
-        BinaryReader r(payload);
-        PGHIVE_ASSIGN_OR_RETURN(snapshot.value_stats, DecodeValueStats(&r));
-        break;
-      }
       case SnapshotSection::kSymbols:
         symbols_payload = payload;
         have_symbols = true;
@@ -366,7 +356,8 @@ Result<StoreSnapshot> DecodeSnapshot(const std::string& bytes) {
         // from the schema's instance lists (slower, never wrong).
         if (version < 4) break;
         BinaryReader r(payload);
-        PGHIVE_ASSIGN_OR_RETURN(snapshot.aggregates, DecodeAggregates(&r));
+        PGHIVE_ASSIGN_OR_RETURN(snapshot.aggregates,
+                                DecodeAggregates(&r, version));
         if (!r.AtEnd()) {
           return Status::ParseError("trailing bytes after aggregates section");
         }
@@ -378,8 +369,8 @@ Result<StoreSnapshot> DecodeSnapshot(const std::string& bytes) {
         snapshot.has_drift = true;
         break;
       default:
-        // Forward compatibility: an unknown (guarded, length-prefixed)
-        // section from a newer writer is skipped.
+        // An unknown (guarded, length-prefixed) section from a newer writer
+        // is skipped, and so is the value-stats section of v1-v4 files.
         break;
     }
   }

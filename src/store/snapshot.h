@@ -27,7 +27,6 @@
 
 #include "core/aggregates.h"
 #include "core/schema.h"
-#include "core/value_stats.h"
 #include "graph/property_graph.h"
 #include "lsh/adaptive_params.h"
 #include "runtime/thread_pool.h"
@@ -42,11 +41,15 @@ inline constexpr char kSnapshotMagic[4] = {'P', 'G', 'H', 'S'};
 /// the optional kAggregates section carrying the delta-maintained
 /// post-processing aggregates so recovery resumes without rebuilding them;
 /// v4 re-encodes the aggregates in the RETRACTABLE counted layout (mutation
-/// streams) and adds the optional kDriftHistory section. A v3 file's
-/// aggregates section uses the old layout and is DISCARDED on load (the
-/// next fold rebuilds the aggregates — correctness is unaffected). v1-v3
-/// files still load; the writer always emits v4.
-inline constexpr uint32_t kSnapshotFormatVersion = 4;
+/// streams) and adds the optional kDriftHistory section; v5 stops writing
+/// kRetiredStats (nothing read it back) and drops the numeric count/min/max
+/// triple from every aggregate key entry, so each aggregate is a plain
+/// count. On load, a v3 file's aggregates section (old layout) is DISCARDED
+/// and the next fold rebuilds the aggregates; a v4 file's key entries are
+/// read with their 24-byte numeric triple, which is dropped; a kRetiredStats
+/// section is skipped like any unknown section. v1-v4 files still load;
+/// the writer always emits v5.
+inline constexpr uint32_t kSnapshotFormatVersion = 5;
 
 /// Stable on-disk section identifiers — append, never renumber.
 enum class SnapshotSection : uint32_t {
@@ -56,11 +59,11 @@ enum class SnapshotSection : uint32_t {
   kTimings = 4,     // per-batch wall-clock seconds (Figure 7 series)
   kAliases = 5,     // label-alias map in effect during discovery
   kLshDiag = 6,     // adaptive LSH parameters + bucket/cluster counts
-  kValueStats = 7,  // value/datatype statistics of the discovered types
+  kRetiredStats = 7,  // v1-v4 only: "value-stats", skipped on read
   kSymbols = 8,     // v2: interned symbol tables + canonical set pools
   kGraphColumnar = 9,  // v2: columnar elements over kSymbols ids
   kAggregates = 10,    // v3+: delta-maintained post-processing aggregates
-                       // (layout changed in v4; pre-v4 payloads discarded)
+                       // (layout changed in v4 and v5; v3 payloads discarded)
   kDriftHistory = 11,  // v4: serialized drift tracker (history + counters)
 };
 
@@ -92,8 +95,6 @@ struct StoreSnapshot {
   uint64_t node_clusters = 0;
   uint64_t edge_clusters = 0;
 
-  SchemaValueStats value_stats;
-
   /// Delta-maintained post-processing aggregates (core/aggregates.h),
   /// present (has_aggregates) when they matched the schema at checkpoint
   /// time. Absent (empty) in v1-v3 files — recovery then rebuilds them.
@@ -114,12 +115,14 @@ std::string EncodeSnapshot(const StoreSnapshot& snapshot,
 
 /// Parses and validates a snapshot. Fails with ParseError on structural
 /// corruption and IoError on a CRC mismatch (naming the bad section);
-/// required sections (meta, graph, schema) must be present. The sections
-/// are also checked against each other: every schema instance id must name
-/// a node/edge of the graph, and every interned id the aggregates hold
-/// (key, key-set, label-set, endpoint label-set) must exist in the graph's
-/// symbol pools — a violation is a ParseError, so well-formed sections
-/// that disagree never reach the engine.
+/// required sections (meta, graph, schema) must be present. The aggregates
+/// section must be canonical — strictly increasing ids and nonzero counts
+/// in every count map, key map and degree map, as the writer emits them.
+/// The sections are also checked against each other: every schema instance
+/// id must name a node/edge of the graph, and every interned id the
+/// aggregates hold (key, key-set, label-set, endpoint label-set) must exist
+/// in the graph's symbol pools. A violation is a ParseError, so
+/// well-formed sections that disagree never reach the engine.
 Result<StoreSnapshot> DecodeSnapshot(const std::string& bytes);
 
 /// Durable write: <path>.tmp + fsync + rename + directory fsync, so a crash

@@ -14,7 +14,6 @@
 #include "common/binary_io.h"
 #include "common/csv.h"
 #include "common/hash.h"
-#include "core/value_stats.h"
 #include "drift/replay.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -396,29 +395,8 @@ Status DurableDiscoverer::FeedJournalOnly(const BatchPayload& batch) {
 
 Status DurableDiscoverer::AppendToJournal(const BatchPayload& batch) {
   PGHIVE_RETURN_NOT_OK(EnsureJournalOpen());
-  if (!batch.mutations.empty() && journal_.format_version() < 3) {
-    // Mutations only encode as v3 records. An inherited pre-v3 segment is
-    // rotated out: close it and start a fresh segment at the current
-    // version. The stale name can only collide when the old segment held
-    // zero records — removing an empty segment loses nothing.
-    PGHIVE_RETURN_NOT_OK(journal_.Close());
-    const std::string next =
-        dir_ + "/" +
-        NumberedFileName(kJournalPrefix, journaled_batches_, kJournalSuffix);
-    std::error_code ec;
-    std::filesystem::remove(next, ec);
-    PGHIVE_RETURN_NOT_OK(EnsureJournalOpen());
-  }
   BinaryWriter payload;
-  // Records match the segment's header version (a reopened v1 segment keeps
-  // receiving v1 records; fresh segments are v3/mutation-capable).
-  if (journal_.format_version() >= 3) {
-    EncodeBatchPayloadV3(batch, &payload);
-  } else if (journal_.format_version() >= 2) {
-    EncodeBatchPayloadV2(batch.nodes, batch.edges, &payload);
-  } else {
-    EncodeBatchPayload(batch.nodes, batch.edges, &payload);
-  }
+  EncodeBatchPayloadV3(batch, &payload);
   PGHIVE_RETURN_NOT_OK(
       journal_.Append(journaled_batches_, payload.buffer()));
   journal_bytes_since_checkpoint_ += payload.size();
@@ -431,6 +409,19 @@ Status DurableDiscoverer::EnsureJournalOpen() {
   const std::string path =
       dir_ + "/" +
       NumberedFileName(kJournalPrefix, journaled_batches_, kJournalSuffix);
+  PGHIVE_RETURN_NOT_OK(journal_.Open(path, options_.fsync));
+  if (journal_.format_version() == kJournalFormatVersion) return Status::OK();
+  // Only v3 records are written. A pre-v3 segment can exist under this name
+  // only when it holds no records — recovery applied any record it held, so
+  // the next batch id would be past it — so replacing it with a fresh v3
+  // segment loses nothing.
+  PGHIVE_RETURN_NOT_OK(journal_.Close());
+  std::error_code ec;
+  std::filesystem::remove(path, ec);
+  if (ec) {
+    return Status::IoError("cannot replace pre-v3 journal segment '" + path +
+                           "': " + ec.message());
+  }
   return journal_.Open(path, options_.fsync);
 }
 
@@ -475,10 +466,6 @@ StoreSnapshot DurableDiscoverer::BuildSnapshot() const {
   snap.edge_lsh = diag.edge_params;
   snap.node_clusters = diag.node_clusters;
   snap.edge_clusters = diag.edge_clusters;
-  if (options_.snapshot_value_stats && applied_batches_ > 0) {
-    snap.value_stats = ComputeValueStats(graph_, snap.schema, {},
-                                         engine_.thread_pool());
-  }
   if (engine_.aggregates().ConsistentWith(snap.schema)) {
     snap.aggregates = engine_.aggregates();
     snap.has_aggregates = true;
@@ -512,14 +499,28 @@ Status DurableDiscoverer::Checkpoint() {
       .GetCounter("pghive.store.snapshot_bytes");
   obs::ScopedSpan span("store.checkpoint");
   if (span.recording()) span.AddAttr("applied_batches", applied_batches_);
-  const StoreSnapshot snap = BuildSnapshot();
-  const std::string bytes = EncodeSnapshot(snap, engine_.thread_pool());
-  const std::string path =
-      dir_ + "/" +
-      NumberedFileName(kSnapshotPrefix, applied_batches_, kSnapshotSuffix);
-  PGHIVE_RETURN_NOT_OK(WriteSnapshotFile(path, bytes));
+  StoreSnapshot snap;
+  {
+    obs::ScopedSpan build_span("store.snapshot_build");
+    snap = BuildSnapshot();
+  }
+  std::string bytes;
+  {
+    obs::ScopedSpan encode_span("store.snapshot_encode");
+    bytes = EncodeSnapshot(snap, engine_.thread_pool());
+    snap = StoreSnapshot();  // free the state copy inside the span
+  }
+  {
+    obs::ScopedSpan write_span("store.snapshot_write");
+    if (write_span.recording()) write_span.AddAttr("bytes", bytes.size());
+    const std::string path =
+        dir_ + "/" +
+        NumberedFileName(kSnapshotPrefix, applied_batches_, kSnapshotSuffix);
+    PGHIVE_RETURN_NOT_OK(WriteSnapshotFile(path, bytes));
+  }
   snapshots_written->Add(1);
   snapshot_bytes->Add(bytes.size());
+  obs::ScopedSpan prune_span("store.prune");
   return PruneAfterCheckpoint();
 }
 

@@ -10,8 +10,11 @@
 //   1. append the batch payload to the journal, fsync   (durable intent)
 //   2. apply: extend the accumulated graph, run the incremental engine
 //   3. checkpoint when the policy fires (every N batches or M journal
-//      bytes): write snapshot-<applied>.pghs atomically, then delete the
-//      applied journal segments and older snapshots
+//      bytes): copy the in-memory state into a snapshot, encode it, write
+//      snapshot-<applied>.pghs atomically, then delete the
+//      applied journal segments and older snapshots — the spans
+//      store.snapshot_build / snapshot_encode / snapshot_write / prune under
+//      store.checkpoint
 //
 // Recovery (OpenOrRecover): load the newest snapshot that validates
 // (corrupt ones are skipped and reported), restore the engine through
@@ -55,10 +58,6 @@ struct StoreOptions {
   /// Older snapshots kept after a checkpoint, beyond the newest one (a
   /// paranoia margin against a latent bad write).
   size_t keep_extra_snapshots = 1;
-
-  /// Recompute value/datatype statistics into each snapshot (one extra scan
-  /// per checkpoint).
-  bool snapshot_value_stats = true;
 
   /// Open even when the stored options fingerprint differs from
   /// `incremental` (replay may then diverge from the original run).
@@ -136,9 +135,9 @@ class DurableDiscoverer {
   /// Journals, then applies one batch. Node ids are reassigned densely in
   /// feed order; edge endpoints are global node ids and must already exist
   /// (MakeStreamBatches produces payloads satisfying this). The payload may
-  /// carry mutations (graph/mutations.h): deletions/updates are journaled
-  /// as v3 records (an inherited pre-v3 segment is rotated first) and
-  /// applied through the engine's retraction path in O(batch).
+  /// carry mutations (graph/mutations.h): every batch is journaled as a v3
+  /// record and deletions/updates are applied through the engine's
+  /// retraction path in O(batch).
   Status Feed(const BatchPayload& batch);
 
   /// Test hook for the crash window between journal append and apply: the

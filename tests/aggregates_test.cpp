@@ -1,7 +1,6 @@
 // Unit tests for the delta-maintained post-processing aggregates
 // (core/aggregates.h): fold/build/merge equivalence with the rescan oracle
-// (tests/rescan_oracle.h), watermark semantics, consistency detection and
-// the numeric partials.
+// (tests/rescan_oracle.h), watermark semantics and consistency detection.
 
 #include <gtest/gtest.h>
 
@@ -11,7 +10,6 @@
 
 #include "core/aggregates.h"
 #include "core/pipeline.h"
-#include "core/value_stats.h"
 #include "datagen/datasets.h"
 #include "datagen/generator.h"
 #include "graph/property_graph.h"
@@ -238,31 +236,6 @@ TEST(AggregatesTest, PipelineFallsBackOnStaleAggregates) {
   pipeline.PostProcessWithAggregates(mutated.graph, &stale, &via_pipeline);
   EXPECT_EQ(SchemaText(via_pipeline),
             SchemaText(RescanPostProcess(mutated.graph, mutated.schema)));
-}
-
-TEST(AggregatesTest, NumericPartialsMatchValueStats) {
-  Fixture f = MakeFixture();
-  SchemaAggregates agg = BuildAggregates(f.graph, f.schema);
-  SchemaValueStats stats = ComputeValueStats(f.graph, f.schema, {});
-  const GraphSymbols& sym = f.graph.symbols();
-  for (size_t i = 0; i < f.schema.node_types.size(); ++i) {
-    for (const auto& [key, ps] : stats.node_types[i]) {
-      SCOPED_TRACE(f.schema.node_types[i].name + "." + key);
-      const SymbolId* sid = sym.keys.Find(key);
-      ASSERT_NE(sid, nullptr);
-      auto it = agg.node_types[i].keys.find(*sid);
-      if (it == agg.node_types[i].keys.end()) {
-        EXPECT_EQ(ps.observed, 0u);
-        continue;
-      }
-      EXPECT_EQ(it->second.present, ps.observed);
-      EXPECT_EQ(it->second.numeric_count, ps.numeric_count);
-      if (ps.numeric_count > 0) {
-        EXPECT_DOUBLE_EQ(it->second.numeric_min, ps.numeric_min);
-        EXPECT_DOUBLE_EQ(it->second.numeric_max, ps.numeric_max);
-      }
-    }
-  }
 }
 
 // End-to-end on a real dataset: the full pipeline equals the rescan oracle

@@ -5,7 +5,9 @@
 // net surviving elements (drift::NetSurvivingStream, same batch
 // boundaries). Exercised for every evolution scenario under both LSH
 // clustering backends and both thread counts, plus durable-store variants
-// with a mid-stream crash + recovery.
+// with a mid-stream crash + recovery. A companion suite checks the
+// aggregates themselves: after every batch they equal a fresh fold of the
+// survivors.
 
 #include <filesystem>
 #include <memory>
@@ -15,6 +17,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/aggregates.h"
 #include "core/incremental.h"
 #include "core/pipeline.h"
 #include "core/schema_json.h"
@@ -29,26 +32,29 @@
 namespace pghive {
 namespace {
 
-/// Mutation-stream side: every batch through the Feed/FeedMutations
-/// dispatch the durable store uses.
+/// Applies one batch to `g` and feeds it through the Feed/FeedMutations
+/// dispatch the durable store uses (an empty insert-only batch is skipped).
+Status FeedBatch(const MutationBatch& mb, PropertyGraph* g,
+                 IncrementalDiscoverer* engine) {
+  PGHIVE_ASSIGN_OR_RETURN(drift::AppliedBatch applied,
+                          drift::ApplyMutationBatch(g, mb));
+  if (applied.deleted_nodes.empty() && applied.deleted_edges.empty()) {
+    if (applied.batch.num_nodes() == 0 && applied.batch.num_edges() == 0) {
+      return Status::OK();
+    }
+    return engine->Feed(applied.batch);
+  }
+  return engine->FeedMutations(applied.batch, applied.deleted_nodes,
+                               applied.deleted_edges);
+}
+
+/// Mutation-stream side: every batch through FeedBatch.
 SchemaGraph DiscoverMutationStream(const std::vector<MutationBatch>& stream,
                                    const IncrementalOptions& opt) {
   PropertyGraph g;
   IncrementalDiscoverer engine(opt);
   for (const MutationBatch& mb : stream) {
-    auto applied = drift::ApplyMutationBatch(&g, mb);
-    EXPECT_TRUE(applied.ok()) << applied.status();
-    if (!applied.ok()) break;
-    Status s;
-    if (applied->deleted_nodes.empty() && applied->deleted_edges.empty()) {
-      if (applied->batch.num_nodes() == 0 && applied->batch.num_edges() == 0) {
-        continue;
-      }
-      s = engine.Feed(applied->batch);
-    } else {
-      s = engine.FeedMutations(applied->batch, applied->deleted_nodes,
-                               applied->deleted_edges);
-    }
+    const Status s = FeedBatch(mb, &g, &engine);
     EXPECT_TRUE(s.ok()) << s;
     if (!s.ok()) break;
   }
@@ -114,6 +120,52 @@ INSTANTIATE_TEST_SUITE_P(
                                                                  : "_minhash";
       name += "_t" + std::to_string(std::get<2>(info.param));
       return name;
+    });
+
+// Every aggregate component is a count, so retraction subtracts exactly:
+// after each batch of a mutation stream, the engine's aggregates equal a
+// fresh fold of the schema's surviving instance lists.
+using FoldParam = std::tuple<std::string, ClusteringMethod>;
+
+class DriftAggregatesTest : public ::testing::TestWithParam<FoldParam> {};
+
+TEST_P(DriftAggregatesTest, RetractedStateEqualsFreshFold) {
+  const auto& [scenario_name, method] = GetParam();
+  auto scenario = MakeEvolutionScenario(scenario_name);
+  ASSERT_TRUE(scenario.ok()) << scenario.status();
+
+  IncrementalOptions opt;
+  opt.pipeline.embedding.backend = EmbeddingBackend::kHash;
+  opt.pipeline.method = method;
+  PropertyGraph g;
+  IncrementalDiscoverer engine(opt);
+  size_t mutation_batches = 0;
+  for (size_t b = 0; b < scenario->stream.size(); ++b) {
+    SCOPED_TRACE("batch " + std::to_string(b));
+    const MutationBatch& mb = scenario->stream[b];
+    const Status s = FeedBatch(mb, &g, &engine);
+    ASSERT_TRUE(s.ok()) << s;
+    if (!mb.mutations.empty()) ++mutation_batches;
+    SchemaAggregates fresh;
+    ASSERT_TRUE(fresh.FoldNew(g, engine.schema()));
+    EXPECT_TRUE(engine.aggregates() == fresh);
+  }
+  EXPECT_GT(mutation_batches, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllScenarios, DriftAggregatesTest,
+    ::testing::Combine(::testing::ValuesIn(EvolutionScenarioNames()),
+                       ::testing::Values(ClusteringMethod::kElsh,
+                                         ClusteringMethod::kMinHash)),
+    [](const ::testing::TestParamInfo<FoldParam>& info) {
+      std::string name = std::get<0>(info.param);
+      for (char& c : name) {
+        if (c == '-') c = '_';
+      }
+      return name + (std::get<1>(info.param) == ClusteringMethod::kElsh
+                         ? "_elsh"
+                         : "_minhash");
     });
 
 // The invariant also holds under the default (Word2Vec) embedding: the

@@ -605,61 +605,69 @@ TEST(JournalV3Test, MutationPayloadRoundTrips) {
   EXPECT_EQ(decoded->mutations.update_edges[0].data.target, 3u);
 }
 
+/// The first 8 bytes of a segment written at journal format version 3.
+std::string V3SegmentHeader() {
+  return std::string("PGHJ") + std::string("\x03\x00\x00\x00", 4);
+}
+
 TEST(JournalV3Test, MutationBatchRotatesInheritedV2Segment) {
+  // A copy of the pinned v2 state directory: a snapshot at batch 4 plus a
+  // v2 segment holding batches 4 and 5, as an upgraded deployment inherits
+  // it. Its options are the fixture's (tests/store_compat_test.cpp).
+  namespace fs = std::filesystem;
   const std::string dir = TestDir("rotate_v2");
-  std::filesystem::create_directories(dir);
-  const std::string seg = dir + "/journal-00000000000000000000.wal";
-  // A v2-header segment holding one v2 (insert-only) record, as an upgraded
-  // deployment would inherit it.
-  ASSERT_TRUE(
-      WriteFile(seg, std::string("PGHJ") + std::string("\x02\x00\x00\x00", 4))
-          .ok());
-  {
-    store::JournalWriter w;
-    ASSERT_TRUE(w.Open(seg, /*fsync=*/false).ok());
-    ASSERT_EQ(w.format_version(), 2u);
-    BinaryWriter payload;
-    std::vector<NodeData> nodes = {Node("Person", {}), Node("Person", {})};
-    store::EncodeBatchPayloadV2(nodes, {}, &payload);
-    ASSERT_TRUE(w.Append(0, payload.buffer()).ok());
+  fs::create_directories(dir);
+  for (const auto& entry :
+       fs::directory_iterator(PGHIVE_GOLDEN_DIR "/v2_state")) {
+    fs::copy_file(entry.path(), fs::path(dir) / entry.path().filename());
   }
+  store::StoreOptions opt;
+  opt.checkpoint_every_batches = 4;
+  opt.checkpoint_every_bytes = 0;
+  opt.fsync = false;
+  const std::string v2_segment = dir + "/journal-00000000000000000004.wal";
+  const std::string v2_bytes = ReadFile(v2_segment).value();
 
   store::RecoveryReport report;
-  auto opened =
-      store::DurableDiscoverer::OpenOrRecover(dir, FastStoreOptions(), &report);
+  auto opened = store::DurableDiscoverer::OpenOrRecover(dir, opt, &report);
   ASSERT_TRUE(opened.ok()) << opened.status();
-  EXPECT_EQ(report.replayed_batches, 1u);
+  EXPECT_EQ(report.replayed_batches, 2u) << report.ToString();
 
   MutationBatch del;
-  del.mutations.delete_nodes = {1};
+  del.mutations.delete_edges = {0};
   ASSERT_TRUE((*opened)->Feed(del).ok());
 
-  // The pre-v3 segment was rotated out: a second, v3 segment now carries
-  // the mutation record.
+  // The v2 segment is unchanged; the mutation record opened a fresh v3
+  // segment named after its batch.
+  EXPECT_EQ(ReadFile(v2_segment).value(), v2_bytes);
   const auto segments = store::ListJournalFiles(dir);
   ASSERT_EQ(segments.size(), 2u);
+  EXPECT_EQ(segments.back(), dir + "/journal-00000000000000000006.wal");
+  EXPECT_EQ(ReadFile(segments.back()).value().substr(0, 8),
+            V3SegmentHeader());
   auto read = store::ReadJournalSegment(segments.back());
   ASSERT_TRUE(read.ok()) << read.status();
   EXPECT_FALSE(read->torn_tail);
   ASSERT_EQ(read->records.size(), 1u);
-  EXPECT_EQ(read->records[0].payload.mutations.delete_nodes,
-            (std::vector<NodeId>{1}));
+  EXPECT_EQ(read->records[0].batch_id, 6u);
+  EXPECT_EQ(read->records[0].payload.mutations.delete_edges,
+            (std::vector<EdgeId>{0}));
 
-  // A fresh recovery replays both segments to the surviving-node schema.
+  // A second recovery replays both segments: 7 batches applied.
   opened->reset();
   store::RecoveryReport report2;
-  auto reopened =
-      store::DurableDiscoverer::OpenOrRecover(dir, FastStoreOptions(),
-                                              &report2);
+  auto reopened = store::DurableDiscoverer::OpenOrRecover(dir, opt, &report2);
   ASSERT_TRUE(reopened.ok()) << reopened.status();
-  EXPECT_EQ((*reopened)->batches_applied(), 2u);
+  EXPECT_EQ(report2.replayed_batches, 3u) << report2.ToString();
+  EXPECT_EQ((*reopened)->batches_applied(), 7u);
 }
 
 TEST(JournalV3Test, EmptyInheritedSegmentIsReplacedInPlace) {
   const std::string dir = TestDir("rotate_empty");
   std::filesystem::create_directories(dir);
   const std::string seg = dir + "/journal-00000000000000000000.wal";
-  // Header-only v1 segment: zero records, so rotation reuses its name.
+  // Header-only v1 segment: zero records, under the name the next batch
+  // opens.
   ASSERT_TRUE(
       WriteFile(seg, std::string("PGHJ") + std::string("\x01\x00\x00\x00", 4))
           .ok());
@@ -670,16 +678,19 @@ TEST(JournalV3Test, EmptyInheritedSegmentIsReplacedInPlace) {
   b.nodes = {Node("Person", {})};
   b.mutations = {};
   ASSERT_TRUE((*opened)->Feed(b).ok());
+  // The first insert-only batch already replaced it: one v3 segment under
+  // the same name.
+  ASSERT_EQ(store::ListJournalFiles(dir), std::vector<std::string>{seg});
+  EXPECT_EQ(ReadFile(seg).value().substr(0, 8), V3SegmentHeader());
+
   MutationBatch del;
   del.mutations.delete_nodes = {0};
   ASSERT_TRUE((*opened)->Feed(del).ok());
-
-  const auto segments = store::ListJournalFiles(dir);
-  for (const std::string& path : segments) {
-    auto read = store::ReadJournalSegment(path);
-    ASSERT_TRUE(read.ok()) << read.status();
-    EXPECT_FALSE(read->torn_tail);
-  }
+  ASSERT_EQ(store::ListJournalFiles(dir), std::vector<std::string>{seg});
+  auto read = store::ReadJournalSegment(seg);
+  ASSERT_TRUE(read.ok()) << read.status();
+  EXPECT_FALSE(read->torn_tail);
+  EXPECT_EQ(read->records.size(), 2u);
   EXPECT_EQ((*opened)->batches_applied(), 2u);
 }
 

@@ -22,6 +22,8 @@
 #include "obs/trace.h"
 #include "runtime/parallel.h"
 #include "runtime/thread_pool.h"
+#include "store/state_store.h"
+#include "test_dir.h"
 
 namespace pghive {
 namespace obs {
@@ -394,6 +396,44 @@ TEST_F(ObsTest, PipelineSpansCoverEveryStage) {
     EXPECT_EQ(name_of[s.parent], "incremental.batch");
   }
   EXPECT_EQ(folds, 3u);
+}
+
+// Each checkpoint splits into exactly four child spans — build, encode,
+// write, prune — directly under its store.checkpoint span.
+TEST_F(ObsTest, CheckpointSpansSplitIntoFourChildren) {
+  GenerateOptions gen;
+  gen.num_nodes = 300;
+  gen.num_edges = 500;
+  PropertyGraph g =
+      GenerateGraph(DatasetSpecByName("POLE").value(), gen).value();
+  store::StoreOptions opt;
+  opt.incremental.pipeline.embedding.backend = EmbeddingBackend::kHash;
+  opt.fsync = false;
+  opt.checkpoint_every_batches = 2;
+  {
+    auto st = store::DurableDiscoverer::OpenOrRecover(
+        TestDir("checkpoint_spans"), opt);
+    ASSERT_TRUE(st.ok()) << st.status();
+    for (const auto& batch : store::MakeStreamBatches(g, 4)) {
+      ASSERT_TRUE((*st)->Feed(batch).ok());
+    }
+  }
+  const std::vector<SpanEvent> spans = Tracer::Global().CollectSpans();
+  std::map<uint64_t, std::map<std::string, int>> children;
+  for (const auto& s : spans) {
+    if (s.name == "store.checkpoint") children[s.id];
+  }
+  for (const auto& s : spans) {
+    auto it = children.find(s.parent);
+    if (it != children.end()) ++it->second[s.name];
+  }
+  EXPECT_EQ(children.size(), 2u);
+  const std::map<std::string, int> expected = {
+      {"store.prune", 1},
+      {"store.snapshot_build", 1},
+      {"store.snapshot_encode", 1},
+      {"store.snapshot_write", 1}};
+  for (const auto& [id, names] : children) EXPECT_EQ(names, expected);
 }
 
 // --- Prometheus exposition (obs/export.h). ---

@@ -15,7 +15,6 @@
 #include "core/incremental.h"
 #include "core/pipeline.h"
 #include "core/schema_json.h"
-#include "core/value_stats.h"
 #include "datagen/datasets.h"
 #include "datagen/generator.h"
 #include "runtime/parallel.h"
@@ -265,27 +264,6 @@ TEST(PipelineParallelismTest, StageTimingsPopulated) {
       EXPECT_GT(bt.cluster_nodes_hash, 0.0);
       EXPECT_GT(bt.cluster_edges_project, 0.0);
       EXPECT_GT(bt.cluster_edges_hash, 0.0);
-    }
-  }
-}
-
-TEST(PipelineParallelismTest, ValueStatsIdenticalWithPool) {
-  auto g = GenerateGraph(MakePoleSpec(), {}).value();
-  PgHivePipeline pipeline;
-  auto schema = pipeline.DiscoverSchema(g);
-  ASSERT_TRUE(schema.ok());
-  SchemaValueStats seq = ComputeValueStats(g, *schema);
-  ThreadPool pool(4);
-  SchemaValueStats par = ComputeValueStats(g, *schema, {}, &pool);
-  ASSERT_EQ(seq.node_types.size(), par.node_types.size());
-  for (size_t i = 0; i < seq.node_types.size(); ++i) {
-    ASSERT_EQ(seq.node_types[i].size(), par.node_types[i].size());
-    for (const auto& [key, stats] : seq.node_types[i]) {
-      const PropertyStats& other = par.node_types[i].at(key);
-      EXPECT_EQ(stats.observed, other.observed);
-      EXPECT_EQ(stats.distinct, other.distinct);
-      EXPECT_EQ(stats.top_values, other.top_values);
-      EXPECT_EQ(stats.enum_domain, other.enum_domain);
     }
   }
 }

@@ -5,7 +5,9 @@
 
 #include <filesystem>
 #include <functional>
+#include <set>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -103,8 +105,10 @@ TEST(CodecTest, GraphRoundTripsExactly) {
 }
 
 TEST(CodecTest, BatchPayloadRejectsTrailingBytes) {
+  // An empty v1 payload (node count 0, edge count 0), then one stray byte.
   BinaryWriter w;
-  EncodeBatchPayload({}, {}, &w);
+  w.WriteU64(0);
+  w.WriteU64(0);
   w.WriteU8(0);
   BinaryReader r(w.buffer());
   auto decoded = DecodeBatchPayload(&r);
@@ -279,6 +283,113 @@ TEST(SnapshotTest, SchemaInstanceIdsOutsideTheGraphAreCorrupt) {
               std::string::npos)
         << decoded.status();
   }
+}
+
+/// `bytes` (an encoded snapshot without aggregates) with an aggregates
+/// section holding `payload` appended, under valid CRCs.
+std::string WithAggregatesSection(const std::string& bytes,
+                                  const std::string& payload) {
+  BinaryReader r(std::string_view(bytes).substr(8, 4));
+  const uint32_t section_count = r.ReadU32().value();
+  BinaryWriter w;
+  w.WriteBytes(std::string_view(bytes).substr(0, 8));  // magic + version
+  w.WriteU32(section_count + 1);
+  w.WriteU32(Crc32(w.buffer()));
+  w.WriteBytes(std::string_view(bytes).substr(16));
+  w.WriteU32(static_cast<uint32_t>(SnapshotSection::kAggregates));
+  w.WriteU64(payload.size());
+  w.WriteU32(Crc32(payload));
+  w.WriteBytes(payload);
+  return std::move(w).Take();
+}
+
+/// A v5 aggregates payload with no node types and one edge type, written
+/// field by field so that ids can repeat (the encoder's maps cannot hold a
+/// repeated id). Each key-set entry counts 1; each out-degree endpoint has
+/// one edge to node 0.
+std::string OneEdgeTypeAggregates(const std::vector<uint32_t>& key_sets,
+                                  const std::vector<uint64_t>& endpoints) {
+  BinaryWriter w;
+  w.WriteU32(0);                  // node types
+  w.WriteU32(1);                  // edge types
+  w.WriteU64(key_sets.size());    // folded
+  w.WriteU32(static_cast<uint32_t>(key_sets.size()));
+  for (uint32_t id : key_sets) {
+    w.WriteU32(id);
+    w.WriteU64(1);
+  }
+  for (int empty = 0; empty < 4; ++empty) {
+    w.WriteU32(0);  // label-set counts, keys, source and target label sets
+  }
+  w.WriteU32(static_cast<uint32_t>(endpoints.size()));  // out-degree map
+  for (uint64_t endpoint : endpoints) {
+    w.WriteU64(endpoint);
+    w.WriteU32(1);  // neighbours
+    w.WriteU64(0);  // neighbour node 0...
+    w.WriteU64(1);  // ...over one edge
+  }
+  w.WriteU32(0);  // in-degree map
+  return std::move(w).Take();
+}
+
+/// Decodes `bytes` and expects a ParseError whose message contains `what`.
+void ExpectCorrupt(const std::string& bytes, const std::string& what) {
+  auto decoded = DecodeSnapshot(bytes);
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.status().code(), StatusCode::kParseError);
+  EXPECT_NE(decoded.status().message().find(what), std::string::npos)
+      << decoded.status();
+}
+
+// The writer erases an aggregate entry when its count reaches zero, so a
+// zero count can only come from a damaged or hostile file. Retraction would
+// otherwise carry it forward: a zero-count label set still joins the type's
+// labels.
+TEST(SnapshotTest, ZeroCountAggregateEntryIsCorrupt) {
+  const StoreSnapshot base = MakeSnapshotWithAggregates();
+  const std::vector<
+      std::pair<std::string, std::function<void(SchemaAggregates*)>>>
+      cases = {
+          {"zero count in aggregate label-set",
+           [](SchemaAggregates* a) {
+             auto& counts = a->node_types[0].label_set_counts;
+             counts[counts.rbegin()->first + 1] = 0;
+           }},
+          {"zero count in aggregate key",
+           [](SchemaAggregates* a) {
+             a->node_types[0].keys.begin()->second.present = 0;
+           }},
+          {"zero count in degree map neighbour",
+           [](SchemaAggregates* a) {
+             a->edge_types[0].out_counts.begin()->second.begin()->second = 0;
+           }},
+      };
+  for (const auto& [what, tamper] : cases) {
+    SCOPED_TRACE(what);
+    StoreSnapshot snap = base;
+    tamper(&snap.aggregates);
+    ExpectCorrupt(EncodeSnapshot(snap), what);
+  }
+}
+
+// The writer emits every aggregate map in ascending id order. A repeated
+// key-set id would silently overwrite the first count; a repeated degree
+// endpoint would merge into one map entry but count twice in the rebuilt
+// degree histogram.
+TEST(SnapshotTest, RepeatedAggregateIdsAreCorrupt) {
+  const std::string bytes = EncodeSnapshot(MakeSnapshot());
+  auto with = [&](const std::vector<uint32_t>& key_sets,
+                  const std::vector<uint64_t>& endpoints) {
+    return WithAggregatesSection(bytes,
+                                 OneEdgeTypeAggregates(key_sets, endpoints));
+  };
+  ASSERT_TRUE(DecodeSnapshot(with({0, 1}, {3, 5})).ok());
+  ExpectCorrupt(with({1, 1}, {}),
+                "aggregate key-set ids not strictly increasing");
+  ExpectCorrupt(with({1, 0}, {}),
+                "aggregate key-set ids not strictly increasing");
+  ExpectCorrupt(with({}, {5, 5}),
+                "degree map endpoint ids not strictly increasing");
 }
 
 TEST(SnapshotTest, FileRoundTripAndTruncationRejection) {
@@ -566,6 +677,60 @@ TEST(DurableDiscovererTest, InconsistentSnapshotAggregatesAreRebuilt) {
     return SchemaToJson(*schema);
   };
   EXPECT_EQ(run(TestDir("tampered"), true), run(TestDir("intact"), false));
+}
+
+// A zero-count {Person} entry planted in type Event's label-set counts, in
+// an otherwise valid snapshot (CRCs recomputed). Accepted, it would give
+// Event the label Person after the next deletion batch, although no Event
+// instance carries it. Recovery reports the snapshot corrupt instead.
+TEST(DurableDiscovererTest, ZeroCountAggregateEntryIsReportedCorrupt) {
+  GenerateOptions gen;
+  gen.num_nodes = 600;
+  gen.num_edges = 1100;
+  const PropertyGraph g =
+      GenerateGraph(DatasetSpecByName("POLE").value(), gen).value();
+  const std::string dir = TestDir("zero_count");
+  StoreOptions opt = FastOptions();
+  opt.checkpoint_every_batches = 4;
+  {
+    auto store = DurableDiscoverer::OpenOrRecover(dir, opt).value();
+    for (const BatchPayload& b : MakeStreamBatches(g, 4)) {
+      ASSERT_TRUE(store->Feed(b).ok());
+    }
+  }
+  const std::vector<std::string> snapshots = ListSnapshotFiles(dir);
+  ASSERT_EQ(snapshots.size(), 1u);
+  ASSERT_TRUE(ListJournalFiles(dir).empty());
+  StoreSnapshot snap = ReadSnapshotFile(snapshots[0]).value();
+  ASSERT_TRUE(snap.has_aggregates);
+  const GraphSymbols& sym = snap.graph.symbols();
+  LabelSetId person = 0;
+  while (person < sym.label_sets.size() &&
+         sym.label_sets.strings(person) != std::set<std::string>{"Person"}) {
+    ++person;
+  }
+  ASSERT_LT(person, sym.label_sets.size());
+  size_t event = 0;
+  while (event < snap.schema.node_types.size() &&
+         snap.schema.node_types[event].labels !=
+             std::set<std::string>{"Event"}) {
+    ++event;
+  }
+  ASSERT_LT(event, snap.schema.node_types.size());
+  auto& counts = snap.aggregates.node_types[event].label_set_counts;
+  ASSERT_EQ(counts.count(person), 0u);
+  counts[person] = 0;
+  ASSERT_TRUE(WriteSnapshotFile(snapshots[0], EncodeSnapshot(snap)).ok());
+
+  RecoveryReport report;
+  auto recovered = DurableDiscoverer::OpenOrRecover(dir, opt, &report);
+  ASSERT_TRUE(recovered.ok()) << recovered.status();
+  ASSERT_EQ(report.corrupt_snapshots.size(), 1u) << report.ToString();
+  EXPECT_NE(report.corrupt_snapshots[0].find(
+                "zero count in aggregate label-set"),
+            std::string::npos)
+      << report.corrupt_snapshots[0];
+  EXPECT_EQ((*recovered)->batches_applied(), 0u);
 }
 
 TEST(DurableDiscovererTest, CheckpointPolicyPrunesJournalAndSnapshots) {

@@ -13,7 +13,8 @@
 # The ASan/UBSan leg rebuilds the store, csv (tokenizer + graph loader),
 # parser, golden-equivalence and snapshot-compat tests in build-asan/ with
 # -DPGHIVE_SANITIZE=address,undefined and drives a durable
-# discover -> crash-free resume -> inspect-state cycle and a
+# discover -> crash-free resume -> inspect-state cycle (the snapshots must
+# be format version 5, without a value-stats section) and a
 # discover --deletions run through the CLI, so
 # the binary-format decoders run their corrupt-input paths under the memory
 # and UB detectors and the interned-core refactor is re-verified against
@@ -259,7 +260,14 @@ cmake --build build-asan -j "${JOBS}" \
   --state-dir "${tmpdir}/state" --checkpoint-every 2 > /dev/null
 ./build-asan/apps/pghive resume "${tmpdir}/pole2" --incremental 4 \
   --state-dir "${tmpdir}/state" > /dev/null
-./build-asan/apps/pghive inspect-state "${tmpdir}/state" > /dev/null
+./build-asan/apps/pghive inspect-state "${tmpdir}/state" \
+  > "${tmpdir}/inspect.txt"
+# Checkpoints write PGHS v5: no value-stats section.
+grep -q 'format version 5,' "${tmpdir}/inspect.txt"
+if grep -q 'section value-stats' "${tmpdir}/inspect.txt"; then
+  echo "inspect-state shows a value-stats section in a v5 snapshot"
+  exit 1
+fi
 # discover --deletions retracts through FeedMutations: a closed deletion
 # file (every 7th node with all of its incident edges, plus every 11th
 # edge), applied after a one-batch and a 4-batch discovery.
@@ -414,11 +422,17 @@ echo "=== observability: metrics + trace export sanity ==="
   --threads 2 --progress \
   --metrics-out "${tmpdir}/metrics.jsonl" \
   --trace-out "${tmpdir}/trace.json" > /dev/null
+# A durable run: every store.checkpoint splits into build, encode, write
+# and prune child spans.
+./build-asan/apps/pghive discover "${tmpdir}/pole2" --incremental 4 \
+  --state-dir "${tmpdir}/state-obs" --checkpoint-every 2 \
+  --trace-out "${tmpdir}/durable-trace.json" > /dev/null
 if command -v python3 > /dev/null; then
-  python3 - "${tmpdir}/metrics.jsonl" "${tmpdir}/trace.json" <<'PYEOF'
-import json, sys
+  python3 - "${tmpdir}/metrics.jsonl" "${tmpdir}/trace.json" \
+    "${tmpdir}/durable-trace.json" <<'PYEOF'
+import collections, json, sys
 
-metrics_path, trace_path = sys.argv[1], sys.argv[2]
+metrics_path, trace_path, durable_trace_path = sys.argv[1:4]
 
 # Metrics JSONL: every line valid JSON with type+name; span_stats present.
 types = set()
@@ -444,13 +458,26 @@ for key in ("name", "ts", "dur", "pid", "tid"):
 names = {e["name"] for e in events}
 assert "pipeline.batch" in names, names
 assert "incremental.fold" in names, names
+
+with open(durable_trace_path) as f:
+    counts = collections.Counter(e["name"] for e in json.load(f))
+checkpoints = counts["store.checkpoint"]
+assert checkpoints >= 1, counts
+for child in ("store.snapshot_build", "store.snapshot_encode",
+              "store.snapshot_write", "store.prune"):
+    assert counts[child] == checkpoints, (child, counts[child], checkpoints)
 print(f"observability export ok: {len(events)} spans, "
-      f"{sorted(types)} metric line types")
+      f"{sorted(types)} metric line types, {checkpoints} checkpoints "
+      f"with 4 child spans each")
 PYEOF
 else
   # No python3: at least require non-empty outputs with the magic markers.
   grep -q '"type":"span_stats"' "${tmpdir}/metrics.jsonl"
   grep -q '"ph":"X"' "${tmpdir}/trace.json"
+  for span in store.checkpoint store.snapshot_build store.snapshot_encode \
+      store.snapshot_write store.prune; do
+    grep -q "\"${span}\"" "${tmpdir}/durable-trace.json"
+  done
 fi
 
 echo "=== all checks passed ==="
