@@ -401,6 +401,10 @@ Status CmdDiscover(const Args& args, std::ostream& out) {
         "[--metrics-out m.jsonl] [--trace-out trace.json] [--progress] "
         "[--log-level debug|info|warning|error] [--log-json]");
   }
+  // Root span: its direct children (graph.from_csv, pipeline.discover or
+  // the incremental/store spans, output.format, cli.teardown) attribute the
+  // command's wall time from --metrics-out alone.
+  obs::ScopedSpan root("cli.discover");
   PGHIVE_ASSIGN_OR_RETURN(PropertyGraph g, LoadPrefix(args.positional()[1]));
   PGHIVE_RETURN_NOT_OK(MaybeApplyAliases(args, &g));
   SchemaGraph schema;
@@ -423,28 +427,37 @@ Status CmdDiscover(const Args& args, std::ostream& out) {
     PGHIVE_ASSIGN_OR_RETURN(schema, DiscoverFromArgs(args, g));
   }
 
-  if (args.Has("save-schema")) {
-    const std::string path = args.GetString("save-schema");
-    PGHIVE_RETURN_NOT_OK(SaveSchemaJson(schema, path));
-    out << "saved schema to " << path << "\n";
-  }
+  {
+    obs::ScopedSpan span("output.format");
+    if (args.Has("save-schema")) {
+      const std::string path = args.GetString("save-schema");
+      PGHIVE_RETURN_NOT_OK(SaveSchemaJson(schema, path));
+      out << "saved schema to " << path << "\n";
+    }
 
-  std::string format = ToLower(args.GetString("format", "summary"));
-  std::string mode_str = ToLower(args.GetString("mode", "strict"));
-  PgSchemaMode mode =
-      mode_str == "loose" ? PgSchemaMode::kLoose : PgSchemaMode::kStrict;
-  if (format == "summary") {
-    PrintSchemaSummary(schema, g, out);
-  } else if (format == "pgschema") {
-    out << ToPgSchema(schema, args.positional()[1], mode);
-  } else if (format == "xsd") {
-    out << ToXsd(schema);
-  } else if (format == "json") {
-    out << SchemaToJson(schema);
-  } else {
-    return Status::InvalidArgument("unknown --format '" + format +
-                                   "' (summary|pgschema|xsd|json)");
+    std::string format = ToLower(args.GetString("format", "summary"));
+    std::string mode_str = ToLower(args.GetString("mode", "strict"));
+    PgSchemaMode mode =
+        mode_str == "loose" ? PgSchemaMode::kLoose : PgSchemaMode::kStrict;
+    if (format == "summary") {
+      PrintSchemaSummary(schema, g, out);
+    } else if (format == "pgschema") {
+      out << ToPgSchema(schema, args.positional()[1], mode);
+    } else if (format == "xsd") {
+      out << ToXsd(schema);
+    } else if (format == "json") {
+      out << SchemaToJson(schema);
+    } else {
+      return Status::InvalidArgument("unknown --format '" + format +
+                                     "' (summary|pgschema|xsd|json)");
+    }
+    out.flush();
   }
+  // Free the graph and schema under a span of their own: on IYP x4 that
+  // takes longer than writing the output.
+  obs::ScopedSpan span("cli.teardown");
+  g = PropertyGraph();
+  schema = SchemaGraph();
   return Status::OK();
 }
 

@@ -1,10 +1,7 @@
 #include "core/aggregates.h"
 
-#include <algorithm>
-
 #include "core/cardinality.h"
 #include "obs/metrics.h"
-#include "runtime/parallel.h"
 
 namespace pghive {
 
@@ -53,21 +50,6 @@ void FoldEdgeEndpoints(const PropertyGraph& g, const Edge& e,
   auto& sources = agg->in_counts[e.target];
   if (++sources[e.source] == 1) {
     HistShift(&agg->in_degree_hist, sources.size() - 1, sources.size());
-  }
-}
-
-void MergeCountedDegreeMap(
-    std::unordered_map<NodeId, std::unordered_map<NodeId, uint64_t>>* into,
-    const std::unordered_map<NodeId, std::unordered_map<NodeId, uint64_t>>&
-        from,
-    std::map<uint64_t, uint64_t>* hist) {
-  for (const auto& [endpoint, others] : from) {
-    auto& mine = (*into)[endpoint];
-    for (const auto& [other, n] : others) {
-      uint64_t& c = mine[other];
-      if (c == 0) HistShift(hist, mine.size() - 1, mine.size());
-      c += n;
-    }
   }
 }
 
@@ -175,24 +157,6 @@ uint64_t PresentCount(const GraphSymbols& sym, const TypeAggregate& agg,
 
 }  // namespace
 
-void PropertyAggregate::Merge(const PropertyAggregate& other) {
-  present += other.present;
-  for (size_t d = 0; d < kNumDataTypes; ++d) {
-    type_counts[d] += other.type_counts[d];
-  }
-}
-
-void TypeAggregate::Merge(const TypeAggregate& other) {
-  folded += other.folded;
-  for (const auto& [ks, n] : other.key_set_counts) key_set_counts[ks] += n;
-  for (const auto& [ls, n] : other.label_set_counts) label_set_counts[ls] += n;
-  for (const auto& [sid, pa] : other.keys) keys[sid].Merge(pa);
-  for (const auto& [ls, n] : other.src_set_counts) src_set_counts[ls] += n;
-  for (const auto& [ls, n] : other.tgt_set_counts) tgt_set_counts[ls] += n;
-  MergeCountedDegreeMap(&out_counts, other.out_counts, &out_degree_hist);
-  MergeCountedDegreeMap(&in_counts, other.in_counts, &in_degree_hist);
-}
-
 bool SchemaAggregates::ConsistentWith(const SchemaGraph& schema) const {
   if (node_types.size() != schema.node_types.size() ||
       edge_types.size() != schema.edge_types.size()) {
@@ -217,52 +181,19 @@ bool SchemaAggregates::FoldNew(const PropertyGraph& g,
             edge_types.size() <= schema.edge_types.size();
   node_types.resize(schema.node_types.size());
   edge_types.resize(schema.edge_types.size());
-  const GraphSymbols& sym = g.symbols();
-  for (size_t i = 0; i < node_types.size(); ++i) {
-    const SchemaNodeType& t = schema.node_types[i];
-    TypeAggregate& a = node_types[i];
-    if (a.folded > t.instances.size()) {
-      ok = false;  // instance list shrank below the watermark
-      continue;
+  auto fold_kind = [&](const auto& types, std::vector<TypeAggregate>* aggs) {
+    for (size_t i = 0; i < aggs->size(); ++i) {
+      TypeAggregate& a = (*aggs)[i];
+      if (a.folded > types[i].instances.size()) {
+        ok = false;  // instance list shrank below the watermark
+        continue;
+      }
+      FoldInstances(g, types[i], &a);
     }
-    for (size_t j = a.folded; j < t.instances.size(); ++j) {
-      FoldElement(sym, g.node(t.instances[j]), &a);
-    }
-  }
-  for (size_t i = 0; i < edge_types.size(); ++i) {
-    const SchemaEdgeType& t = schema.edge_types[i];
-    TypeAggregate& a = edge_types[i];
-    if (a.folded > t.instances.size()) {
-      ok = false;
-      continue;
-    }
-    for (size_t j = a.folded; j < t.instances.size(); ++j) {
-      const Edge& e = g.edge(t.instances[j]);
-      FoldElement(sym, e, &a);
-      FoldEdgeEndpoints(g, e, &a);
-    }
-  }
+  };
+  fold_kind(schema.node_types, &node_types);
+  fold_kind(schema.edge_types, &edge_types);
   return ok;
-}
-
-void SchemaAggregates::Merge(const SchemaAggregates& other) {
-  if (node_types.size() < other.node_types.size()) {
-    node_types.resize(other.node_types.size());
-  }
-  if (edge_types.size() < other.edge_types.size()) {
-    edge_types.resize(other.edge_types.size());
-  }
-  for (size_t i = 0; i < other.node_types.size(); ++i) {
-    node_types[i].Merge(other.node_types[i]);
-  }
-  for (size_t i = 0; i < other.edge_types.size(); ++i) {
-    edge_types[i].Merge(other.edge_types[i]);
-  }
-}
-
-void SchemaAggregates::Clear() {
-  node_types.clear();
-  edge_types.clear();
 }
 
 uint64_t SchemaAggregates::FoldedInstances() const {
@@ -314,70 +245,22 @@ uint64_t SchemaAggregates::ApproxBytes() const {
   return bytes;
 }
 
-SchemaAggregates BuildAggregates(const PropertyGraph& g,
-                                 const SchemaGraph& schema,
-                                 ThreadPool* pool) {
-  SchemaAggregates agg;
+void FoldInstances(const PropertyGraph& g, const SchemaNodeType& t,
+                   TypeAggregate* agg) {
   const GraphSymbols& sym = g.symbols();
-
-  // One chunked reduction per element kind over the flattened
-  // (type, instance) index space: chunk boundaries depend only on the total
-  // instance count, partials merge in ascending chunk order, and every
-  // component is a count, exact under merging — so the merged content is
-  // independent of the chunking.
-  auto build = [&](const auto& types, std::vector<TypeAggregate>* out,
-                   auto fold_one) {
-    std::vector<size_t> offset(types.size() + 1, 0);
-    for (size_t i = 0; i < types.size(); ++i) {
-      offset[i + 1] = offset[i] + types[i].instances.size();
-    }
-    const size_t total = offset.back();
-    using Partial = std::vector<TypeAggregate>;
-    *out = ParallelReduceOrdered(
-        pool, total, Partial(types.size()),
-        [&](size_t begin, size_t end) {
-          Partial partial(types.size());
-          size_t t = static_cast<size_t>(
-              std::upper_bound(offset.begin(), offset.end(), begin) -
-              offset.begin() - 1);
-          for (size_t idx = begin; idx < end;) {
-            while (idx >= offset[t + 1]) ++t;
-            const size_t stop = std::min(end, offset[t + 1]);
-            for (; idx < stop; ++idx) {
-              fold_one(types[t], idx - offset[t], &partial[t]);
-            }
-          }
-          return partial;
-        },
-        [](Partial* acc, Partial&& partial) {
-          for (size_t i = 0; i < partial.size(); ++i) {
-            (*acc)[i].Merge(partial[i]);
-          }
-        });
-  };
-
-  build(schema.node_types, &agg.node_types,
-        [&](const SchemaNodeType& t, size_t j, TypeAggregate* a) {
-          FoldElement(sym, g.node(t.instances[j]), a);
-        });
-  build(schema.edge_types, &agg.edge_types,
-        [&](const SchemaEdgeType& t, size_t j, TypeAggregate* a) {
-          const Edge& e = g.edge(t.instances[j]);
-          FoldElement(sym, e, a);
-          FoldEdgeEndpoints(g, e, a);
-        });
-  return agg;
+  for (size_t j = agg->folded; j < t.instances.size(); ++j) {
+    FoldElement(sym, g.node(t.instances[j]), agg);
+  }
 }
 
-void FoldNodeElement(const GraphSymbols& sym, const Node& n,
-                     TypeAggregate* agg) {
-  FoldElement(sym, n, agg);
-}
-
-void FoldEdgeElement(const PropertyGraph& g, const Edge& e,
-                     TypeAggregate* agg) {
-  FoldElement(g.symbols(), e, agg);
-  FoldEdgeEndpoints(g, e, agg);
+void FoldInstances(const PropertyGraph& g, const SchemaEdgeType& t,
+                   TypeAggregate* agg) {
+  const GraphSymbols& sym = g.symbols();
+  for (size_t j = agg->folded; j < t.instances.size(); ++j) {
+    const Edge& e = g.edge(t.instances[j]);
+    FoldElement(sym, e, agg);
+    FoldEdgeEndpoints(g, e, agg);
+  }
 }
 
 bool RetractNodeElement(const GraphSymbols& sym, const Node& n,
@@ -391,75 +274,50 @@ bool RetractEdgeElement(const PropertyGraph& g, const Edge& e,
   return RetractEdgeEndpoints(g, e, agg) && ok;
 }
 
-TypeAggregate RebuildNodeAggregate(const PropertyGraph& g,
-                                   const SchemaNodeType& t) {
-  TypeAggregate agg;
-  const GraphSymbols& sym = g.symbols();
-  for (size_t id : t.instances) FoldElement(sym, g.node(id), &agg);
-  return agg;
-}
-
-TypeAggregate RebuildEdgeAggregate(const PropertyGraph& g,
-                                   const SchemaEdgeType& t) {
-  TypeAggregate agg;
-  for (size_t id : t.instances) FoldEdgeElement(g, g.edge(id), &agg);
-  return agg;
-}
-
 void FinalizeConstraints(const GraphSymbols& sym, const SchemaAggregates& agg,
-                         SchemaGraph* schema, ThreadPool* pool) {
+                         SchemaGraph* schema) {
   auto run = [&](auto* types, const std::vector<TypeAggregate>& aggs) {
-    ParallelFor(
-        pool, types->size(),
-        [&](size_t i) {
-          auto& t = (*types)[i];
-          const TypeAggregate& a = aggs[i];
-          for (const auto& key : t.property_keys) {
-            PropertyConstraint& c = t.constraints[key];  // default-insert
-            const PropertyAggregate* pa = nullptr;
-            const uint64_t present = PresentCount(sym, a, key, &pa);
-            c.mandatory = a.folded > 0 && present == a.folded;
-          }
-        },
-        /*grain=*/1);
+    for (size_t i = 0; i < types->size(); ++i) {
+      auto& t = (*types)[i];
+      const TypeAggregate& a = aggs[i];
+      for (const auto& key : t.property_keys) {
+        PropertyConstraint& c = t.constraints[key];  // default-insert
+        const PropertyAggregate* pa = nullptr;
+        const uint64_t present = PresentCount(sym, a, key, &pa);
+        c.mandatory = a.folded > 0 && present == a.folded;
+      }
+    }
   };
   run(&schema->node_types, agg.node_types);
   run(&schema->edge_types, agg.edge_types);
 }
 
 void FinalizeDataTypes(const GraphSymbols& sym, const SchemaAggregates& agg,
-                       SchemaGraph* schema, ThreadPool* pool) {
+                       SchemaGraph* schema) {
   auto run = [&](auto* types, const std::vector<TypeAggregate>& aggs) {
-    ParallelFor(
-        pool, types->size(),
-        [&](size_t i) {
-          auto& t = (*types)[i];
-          const TypeAggregate& a = aggs[i];
-          for (const auto& key : t.property_keys) {
-            const PropertyAggregate* pa = nullptr;
-            PresentCount(sym, a, key, &pa);
-            t.constraints[key].type =
-                pa == nullptr ? DataType::kString : JoinTally(pa->type_counts);
-          }
-        },
-        /*grain=*/1);
+    for (size_t i = 0; i < types->size(); ++i) {
+      auto& t = (*types)[i];
+      const TypeAggregate& a = aggs[i];
+      for (const auto& key : t.property_keys) {
+        const PropertyAggregate* pa = nullptr;
+        PresentCount(sym, a, key, &pa);
+        t.constraints[key].type =
+            pa == nullptr ? DataType::kString : JoinTally(pa->type_counts);
+      }
+    }
   };
   run(&schema->node_types, agg.node_types);
   run(&schema->edge_types, agg.edge_types);
 }
 
-void FinalizeCardinalities(const SchemaAggregates& agg, SchemaGraph* schema,
-                           ThreadPool* pool) {
-  ParallelFor(
-      pool, schema->edge_types.size(),
-      [&](size_t i) {
-        SchemaEdgeType& t = schema->edge_types[i];
-        const TypeAggregate& a = agg.edge_types[i];
-        t.max_out_degree = static_cast<size_t>(a.max_out());
-        t.max_in_degree = static_cast<size_t>(a.max_in());
-        t.cardinality = ClassifyCardinality(t.max_out_degree, t.max_in_degree);
-      },
-      /*grain=*/1);
+void FinalizeCardinalities(const SchemaAggregates& agg, SchemaGraph* schema) {
+  for (size_t i = 0; i < schema->edge_types.size(); ++i) {
+    SchemaEdgeType& t = schema->edge_types[i];
+    const TypeAggregate& a = agg.edge_types[i];
+    t.max_out_degree = static_cast<size_t>(a.max_out());
+    t.max_in_degree = static_cast<size_t>(a.max_in());
+    t.cardinality = ClassifyCardinality(t.max_out_degree, t.max_in_degree);
+  }
 }
 
 void PublishAggregateGauges(const SchemaAggregates& agg) {

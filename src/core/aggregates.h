@@ -1,8 +1,8 @@
 // Delta-maintained post-processing aggregates (paper §4.4 made incremental).
 //
 // Every output of the post-processing passes — MANDATORY/OPTIONAL property
-// constraints, property datatypes and edge cardinalities — is a *mergeable
-// aggregate* over a type's assigned instances:
+// constraints, property datatypes and edge cardinalities — is an aggregate
+// of counts over a type's assigned instances:
 //
 //   constraints    key-presence histogram per interned key set: the count of
 //                  instances carrying key k is the sum of the histogram over
@@ -28,12 +28,15 @@
 // datatypes / cardinalities into the schema) is then independent of the
 // number of instances.
 //
-// The one-shot pipeline builds the same aggregates in a single chunked
-// ParallelReduceOrdered pass. Every component is an integer count (or a map
-// of counts), so the merged aggregate content — and therefore the
-// finalized schema — is bit-identical at any thread count and identical to
-// the sequential rescan passes kept as a test oracle in tests/rescan_oracle.h
-// (guarded by tests/golden_equivalence_test).
+// There is one builder: FoldNew, which folds each type's new instances in
+// type-index order on the calling thread. The one-shot pipeline is a fresh
+// FoldNew over the whole schema (a one-batch feed), and every rebuild —
+// recovery without persisted aggregates, the transient state for a schema
+// edited outside the fold/retract path, a retraction underflow — folds a
+// fresh accumulator the same way. Every component is an integer count (or a
+// map of counts), so the finalized schema is identical at any thread count
+// and identical to the sequential rescan passes kept as a test oracle in
+// tests/rescan_oracle.h (guarded by tests/golden_equivalence_test).
 //
 // NOT delta-maintainable: the datatype sampling mode (the RNG consumes draws
 // in (type, key) order over the concrete value list, which the tally cannot
@@ -50,8 +53,8 @@
 // retires and the key becomes Int again) falls out for free.
 //
 // Any underflow (retracting something never folded) makes Retract*Element
-// return false; the caller rebuilds the whole type accumulator from its
-// surviving instances (Rebuild*Aggregate).
+// return false; the caller refolds the whole type accumulator from its
+// surviving instances (FoldInstances on a fresh TypeAggregate).
 //
 // Contract: aggregates track the schema's instance lists exactly — grow via
 // FoldNew, shrink ONLY through the Retract*Element path (core/retraction.h
@@ -72,26 +75,23 @@
 
 #include "core/schema.h"
 #include "graph/property_graph.h"
-#include "runtime/thread_pool.h"
 
 namespace pghive {
 
 /// Number of DataType enum values (tally array width).
 inline constexpr size_t kNumDataTypes = 6;
 
-/// Mergeable accumulator for one (type, property key) pair.
+/// Accumulator for one (type, property key) pair.
 struct PropertyAggregate {
   /// Instances of the type whose key set contains the key.
   uint64_t present = 0;
   /// Observed value count per DataType (indexed by the enum value).
   std::array<uint64_t, kNumDataTypes> type_counts{};
 
-  void Merge(const PropertyAggregate& other);
-
   bool operator==(const PropertyAggregate&) const = default;
 };
 
-/// Mergeable, retractable accumulator for one schema type (node or edge;
+/// Retractable accumulator for one schema type (node or edge;
 /// the endpoint/degree state stays empty for node types).
 struct TypeAggregate {
   /// Instances folded so far — the delta-fold watermark into the type's
@@ -131,8 +131,6 @@ struct TypeAggregate {
     return in_degree_hist.empty() ? 0 : in_degree_hist.rbegin()->first;
   }
 
-  void Merge(const TypeAggregate& other);
-
   bool operator==(const TypeAggregate&) const = default;
 };
 
@@ -150,16 +148,11 @@ struct SchemaAggregates {
   bool ConsistentWith(const SchemaGraph& schema) const;
 
   /// Folds every instance appended to `schema`'s types since the last fold
-  /// (all of them, for a fresh aggregate). O(new instances). Returns false
-  /// when an instance list SHRANK below its watermark (an edit outside the
-  /// retraction path) — the aggregates are then unusable until rebuilt.
+  /// (all of them, for a fresh aggregate), one type at a time in index
+  /// order. O(new instances). Returns false when an instance list SHRANK
+  /// below its watermark (an edit outside the retraction path) — the
+  /// aggregates are then unusable until rebuilt.
   bool FoldNew(const PropertyGraph& g, const SchemaGraph& schema);
-
-  /// Index-wise merge for the parallel one-shot build (counts add, maps
-  /// union).
-  void Merge(const SchemaAggregates& other);
-
-  void Clear();
 
   uint64_t FoldedInstances() const;
   /// Distinct (type, key) tally entries / degree-map endpoint entries —
@@ -172,26 +165,19 @@ struct SchemaAggregates {
   bool operator==(const SchemaAggregates&) const = default;
 };
 
-/// Builds aggregates for `schema`'s current instance assignment in one
-/// chunked pass over the flattened (type, instance) space; per-chunk
-/// partials merge in ascending chunk order (deterministic content at any
-/// thread count). Null pool = sequential.
-SchemaAggregates BuildAggregates(const PropertyGraph& g,
-                                 const SchemaGraph& schema,
-                                 ThreadPool* pool = nullptr);
+/// Folds instances [agg->folded, t.instances.size()) of one type into its
+/// accumulator — FoldNew's per-type step, and the retraction underflow
+/// rebuild when run on a fresh TypeAggregate. The edge form also folds
+/// endpoint label sets and the counted degree state.
+void FoldInstances(const PropertyGraph& g, const SchemaNodeType& t,
+                   TypeAggregate* agg);
+void FoldInstances(const PropertyGraph& g, const SchemaEdgeType& t,
+                   TypeAggregate* agg);
 
-// --- Per-element fold/retract primitives (the mutation path,
-// core/retraction.h, drives these; FoldNew/BuildAggregates fold through the
-// same code). ---
+// --- Per-element retraction (the mutation path, core/retraction.h, drives
+// these). ---
 
-/// Folds one element into its type accumulator. The edge variant also folds
-/// endpoint label sets and the counted degree state (hence the graph).
-void FoldNodeElement(const GraphSymbols& sym, const Node& n,
-                     TypeAggregate* agg);
-void FoldEdgeElement(const PropertyGraph& g, const Edge& e,
-                     TypeAggregate* agg);
-
-/// Retracts one previously folded element (inverse of Fold*Element).
+/// Retracts one previously folded element (inverse of its fold).
 /// Returns false when a count underflowed — the element was never folded
 /// into this accumulator, so its state is unusable until rebuilt.
 bool RetractNodeElement(const GraphSymbols& sym, const Node& n,
@@ -199,31 +185,23 @@ bool RetractNodeElement(const GraphSymbols& sym, const Node& n,
 bool RetractEdgeElement(const PropertyGraph& g, const Edge& e,
                         TypeAggregate* agg);
 
-/// Fresh fold of a single type's surviving instances — the rebuild path for
-/// retraction underflow.
-TypeAggregate RebuildNodeAggregate(const PropertyGraph& g,
-                                   const SchemaNodeType& t);
-TypeAggregate RebuildEdgeAggregate(const PropertyGraph& g,
-                                   const SchemaEdgeType& t);
-
 // --- Finalization: write aggregate state into the schema. Each function
 // reproduces its rescan oracle (tests/rescan_oracle.h) bit-for-bit (given
-// ConsistentWith); `pool` parallelizes over types. ---
+// ConsistentWith). ---
 
 /// MANDATORY/OPTIONAL from the key-set histograms: a key is MANDATORY iff
 /// every instance carries it; instance-less types keep every key OPTIONAL.
 void FinalizeConstraints(const GraphSymbols& sym, const SchemaAggregates& agg,
-                         SchemaGraph* schema, ThreadPool* pool = nullptr);
+                         SchemaGraph* schema);
 
 /// InferDataTypes (full-scan semantics) from the datatype tallies. The
 /// sampling mode is NOT reproducible from tallies — callers must use
 /// InferDataTypes when options.sample is set.
 void FinalizeDataTypes(const GraphSymbols& sym, const SchemaAggregates& agg,
-                       SchemaGraph* schema, ThreadPool* pool = nullptr);
+                       SchemaGraph* schema);
 
 /// Cardinalities from the exact degree maxima (core/cardinality.h).
-void FinalizeCardinalities(const SchemaAggregates& agg, SchemaGraph* schema,
-                           ThreadPool* pool = nullptr);
+void FinalizeCardinalities(const SchemaAggregates& agg, SchemaGraph* schema);
 
 /// Mirrors the aggregate footprint into the pghive.aggregates.* gauges.
 void PublishAggregateGauges(const SchemaAggregates& agg);

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/random.h"
-#include "runtime/parallel.h"
 
 namespace pghive {
 
@@ -22,35 +21,23 @@ namespace {
 template <typename TypeT, typename GetElem>
 void InferForType(const GraphSymbols& sym, TypeT* t,
                   const DataTypeInferenceOptions& options, Rng* rng,
-                  GetElem get, ThreadPool* pool) {
+                  GetElem get) {
   for (const auto& key : t->property_keys) {
     // Key presence is a function of the interned key set, so resolve it
     // once per distinct set; the per-instance scan then tests one byte
-    // before touching the property row. Filled before the parallel loop —
-    // chunks only read it.
+    // before touching the property row.
     std::vector<char> has(sym.key_sets.size(), 0);
     for (size_t ks = 0; ks < has.size(); ++ks) {
       has[ks] =
           sym.key_sets.strings(static_cast<KeySetId>(ks)).count(key) ? 1 : 0;
     }
-    // Collect (pointers to) all observed values of this property. The scan
-    // over instances is chunked; concatenating the per-chunk lists in chunk
-    // order reproduces the sequential collection order exactly, which keeps
-    // the sample indices below meaningful at any thread count.
-    std::vector<const Value*> values = ParallelReduceOrdered(
-        pool, t->instances.size(), std::vector<const Value*>(),
-        [&](size_t begin, size_t end) {
-          std::vector<const Value*> chunk;
-          for (size_t i = begin; i < end; ++i) {
-            const auto& elem = get(t->instances[i]);
-            if (!has[elem.key_set]) continue;
-            chunk.push_back(elem.properties.FindValue(key));
-          }
-          return chunk;
-        },
-        [](std::vector<const Value*>* acc, std::vector<const Value*>&& chunk) {
-          acc->insert(acc->end(), chunk.begin(), chunk.end());
-        });
+    // Collect (pointers to) all observed values of this property, in
+    // instance order — the order the sample indices below refer to.
+    std::vector<const Value*> values;
+    for (size_t id : t->instances) {
+      const auto& elem = get(id);
+      if (has[elem.key_set]) values.push_back(elem.properties.FindValue(key));
+    }
     if (options.sample && values.size() > options.min_sample) {
       size_t want = std::max(
           options.min_sample,
@@ -72,17 +59,15 @@ void InferForType(const GraphSymbols& sym, TypeT* t,
 
 void InferDataTypes(const PropertyGraph& g,
                     const DataTypeInferenceOptions& options,
-                    SchemaGraph* schema, ThreadPool* pool) {
+                    SchemaGraph* schema) {
   Rng rng(options.seed, 0xd7);
   for (auto& t : schema->node_types) {
-    InferForType(
-        g.symbols(), &t, options, &rng,
-        [&](NodeId id) -> const Node& { return g.node(id); }, pool);
+    InferForType(g.symbols(), &t, options, &rng,
+                 [&](NodeId id) -> const Node& { return g.node(id); });
   }
   for (auto& t : schema->edge_types) {
-    InferForType(
-        g.symbols(), &t, options, &rng,
-        [&](EdgeId id) -> const Edge& { return g.edge(id); }, pool);
+    InferForType(g.symbols(), &t, options, &rng,
+                 [&](EdgeId id) -> const Edge& { return g.edge(id); });
   }
 }
 

@@ -16,7 +16,6 @@
 
 #include "core/schema.h"
 #include "graph/property_graph.h"
-#include "runtime/thread_pool.h"
 
 namespace pghive {
 
@@ -31,14 +30,11 @@ struct DataTypeInferenceOptions {
 };
 
 /// Fills the `type` field of every property constraint of every schema type
-/// (creating entries where missing). `pool` (optional) parallelizes the
-/// per-property value scans; the result is identical at any thread count —
-/// values are collected per instance-chunk and concatenated in chunk order,
-/// and the sampling RNG is only consumed on the calling thread, in the same
-/// (type, key) order as the sequential scan.
+/// (creating entries where missing). Values are collected in instance order
+/// and the sampling RNG is consumed in (type, key) order.
 void InferDataTypes(const PropertyGraph& g,
                     const DataTypeInferenceOptions& options,
-                    SchemaGraph* schema, ThreadPool* pool = nullptr);
+                    SchemaGraph* schema);
 
 /// Folds a list of runtime values into the most specific compatible
 /// DataType (String for an empty list). Exposed for tests / Figure 8.

@@ -134,9 +134,11 @@ void IncrementalDiscoverer::RestoreState(const PropertyGraph& g,
   // the next FeedMutations.
   retraction_index_ = RetractionIndex();
   mutations_seen_ = false;
-  aggregates_ = aggregates.ConsistentWith(schema_)
-                    ? std::move(aggregates)
-                    : BuildAggregates(g, schema_, thread_pool());
+  aggregates_ = std::move(aggregates);
+  if (!aggregates_.ConsistentWith(schema_)) {
+    aggregates_ = SchemaAggregates();
+    aggregates_.FoldNew(g, schema_);
+  }
 }
 
 const SchemaGraph& IncrementalDiscoverer::Finish(const PropertyGraph& g) {

@@ -101,7 +101,7 @@ size_t CountDistinctLabels(const GraphBatch& batch, ElementKind kind) {
 PgHivePipeline::PgHivePipeline(PipelineOptions options)
     : options_(options) {}
 
-ThreadPool* PgHivePipeline::EnsurePool() const {
+ThreadPool* PgHivePipeline::EnsurePool() {
   if (pool_) return pool_.get();
   const int threads = ResolveThreadCount(options_.num_threads);
   // num_threads == 1 keeps the original sequential code paths: every
@@ -315,36 +315,37 @@ void PgHivePipeline::PostProcessWithAggregates(
     SchemaGraph* schema) const {
   StageTimings& timings = diagnostics_.timings;
   obs::ScopedSpan span("pipeline.post_process", &timings.post_process);
-  ThreadPool* pool = EnsurePool();
 
   // Finalize from aggregates: the caller's maintained state when it matches
-  // the schema's instance assignment, otherwise a transient build in one
-  // chunked parallel pass over the assigned instances.
+  // the schema's instance assignment, otherwise a fresh fold of the assigned
+  // instances. Post-processing runs on the calling thread: at 4 threads
+  // neither a per-type parallel fold nor the pooled finalizers beat the
+  // plain loops (DESIGN.md §4c).
   SchemaAggregates local;
   if (aggregates == nullptr || !aggregates->ConsistentWith(*schema)) {
     obs::ScopedSpan s("pipeline.post_fold", &timings.post_fold);
-    local = BuildAggregates(g, *schema, pool);
+    local.FoldNew(g, *schema);  // fresh: no watermark to shrink below
     aggregates = &local;
   }
   const GraphSymbols& sym = g.symbols();
   {
     obs::ScopedSpan s("pipeline.post_constraints", &timings.post_constraints);
-    FinalizeConstraints(sym, *aggregates, schema, pool);
+    FinalizeConstraints(sym, *aggregates, schema);
   }
   {
     obs::ScopedSpan s("pipeline.post_datatypes", &timings.post_datatypes);
     // The sampling mode draws from the concrete value lists in an
     // RNG-consumption order the tallies cannot reproduce — rescan for it.
     if (options_.datatypes.sample) {
-      InferDataTypes(g, options_.datatypes, schema, pool);
+      InferDataTypes(g, options_.datatypes, schema);
     } else {
-      FinalizeDataTypes(sym, *aggregates, schema, pool);
+      FinalizeDataTypes(sym, *aggregates, schema);
     }
   }
   {
     obs::ScopedSpan s("pipeline.post_cardinalities",
                       &timings.post_cardinalities);
-    FinalizeCardinalities(*aggregates, schema, pool);
+    FinalizeCardinalities(*aggregates, schema);
   }
 }
 

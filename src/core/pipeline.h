@@ -56,13 +56,13 @@ struct PipelineOptions {
   bool post_process = true;
   DataTypeInferenceOptions datatypes;
 
-  /// Worker threads for the data-parallel stages (encoding, LSH hashing,
-  /// datatype scans): 0 = hardware concurrency, 1 (default) = the original
+  /// Worker threads for the data-parallel stages (feature encoding and LSH
+  /// hashing): 0 = hardware concurrency, 1 (default) = the original
   /// sequential loops, no pool created. Any value yields a bit-identical
-  /// SchemaGraph — the runtime's deterministic ordered reductions make the
-  /// output independent of the thread count (see runtime/parallel.h).
-  /// Word2Vec training is intentionally NOT parallelized: its SGD updates
-  /// are order-dependent, so sharding them would break seed-stable
+  /// SchemaGraph — each parallel map writes only its own index's slot (see
+  /// runtime/parallel.h). Post-processing always runs on the calling
+  /// thread. Word2Vec training is intentionally NOT parallelized: its SGD
+  /// updates are order-dependent, so sharding them would break seed-stable
   /// embeddings.
   int num_threads = 1;
 
@@ -98,10 +98,10 @@ struct StageTimings {
   double cluster_edges_project = 0.0;
   double cluster_edges_hash = 0.0;
   double post_process = 0.0;   // constraints + datatypes + cardinalities
-  // Sub-timings of post_process (they sum to roughly post_process; the
-  // remainder is dispatch overhead). post_fold is the transient aggregate
-  // build (0 when the caller's maintained aggregates were used); the other
-  // three are the per-pass finalizations from the aggregates.
+  // Sub-timings of post_process (they sum to roughly post_process).
+  // post_fold is the fresh FoldNew of a transient aggregate state (0 when
+  // the caller's maintained aggregates were used); the other three are the
+  // per-pass finalizations from the aggregates.
   double post_fold = 0.0;
   double post_constraints = 0.0;
   double post_datatypes = 0.0;
@@ -133,15 +133,17 @@ class PgHivePipeline {
   Status ProcessBatch(const GraphBatch& batch, SchemaGraph* schema);
 
   /// Constraint, datatype and cardinality inference over the instances
-  /// currently assigned in `schema` (Algorithm 1 lines 7-10). Builds a
-  /// transient aggregate state in one chunked parallel pass — callers
-  /// holding maintained aggregates use the overload below.
+  /// currently assigned in `schema` (Algorithm 1 lines 7-10). Folds a
+  /// transient aggregate state with a fresh SchemaAggregates::FoldNew, the
+  /// fold every incremental Feed runs — callers holding maintained
+  /// aggregates use the overload below.
   void PostProcess(const PropertyGraph& g, SchemaGraph* schema) const;
 
   /// Post-processing from caller-maintained aggregates (core/incremental.h
   /// folds them batch by batch). `aggregates` may be null or inconsistent
-  /// with `schema` — the pipeline then builds a transient aggregate state
-  /// instead. The finalized schema is bit-identical either way.
+  /// with `schema` — the pipeline then folds a fresh transient state
+  /// instead. The finalized schema is bit-identical either way. Runs on the
+  /// calling thread.
   void PostProcessWithAggregates(const PropertyGraph& g,
                                  const SchemaAggregates* aggregates,
                                  SchemaGraph* schema) const;
@@ -155,12 +157,12 @@ class PgHivePipeline {
 
  private:
   /// Resolves options_.num_threads and creates the pool when > 1.
-  ThreadPool* EnsurePool() const;
+  ThreadPool* EnsurePool();
 
   PipelineOptions options_;
   // mutable: the const PostProcess records its wall-clock in the timings.
   mutable BatchDiagnostics diagnostics_;
-  mutable std::unique_ptr<ThreadPool> pool_;
+  std::unique_ptr<ThreadPool> pool_;
 };
 
 /// Label corpus restricted to one batch (the incremental pipeline trains

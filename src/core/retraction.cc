@@ -65,17 +65,17 @@ void RecomputeDerivedSets(const GraphSymbols& sym, const TypeAggregate& agg,
 }
 
 /// Shared per-kind driver. `retract_one` subtracts one element from the
-/// aggregate (false on underflow); `rebuild` refolds the whole type from
-/// survivors.
+/// aggregate (false on underflow); an underflow refolds the whole type from
+/// its survivors.
 template <typename TypeVec, typename Id, typename TypeOfFn, typename EraseFn,
-          typename RetractFn, typename RebuildFn>
-Status RetractKind(const std::vector<Id>& deleted,
+          typename RetractFn>
+Status RetractKind(const PropertyGraph& g, const std::vector<Id>& deleted,
                    const char* what, TypeVec* types,
                    std::vector<TypeAggregate>* aggs,
                    std::unordered_map<uint64_t, std::vector<Id>>* by_type_out,
                    const TypeOfFn& type_of, const EraseFn& erase_id,
-                   const RetractFn& retract_one, const RebuildFn& rebuild,
-                   uint64_t* retracted, uint64_t* rebuilds) {
+                   const RetractFn& retract_one, uint64_t* retracted,
+                   uint64_t* rebuilds) {
   // Group by owning type, consuming the index entries as we go so a
   // double-delete inside one batch fails the lookup like any unknown id.
   std::unordered_map<uint64_t, std::vector<Id>>& by_type = *by_type_out;
@@ -113,7 +113,8 @@ Status RetractKind(const std::vector<Id>& deleted,
       if (!retract_one(id, &agg)) ok = false;
     }
     if (!ok) {
-      agg = rebuild(type);
+      agg = TypeAggregate();
+      FoldInstances(g, type, &agg);
       ++*rebuilds;
     }
     *retracted += ids.size();
@@ -135,24 +136,22 @@ Status RetractInstances(const PropertyGraph& g,
   // append-only — deletion is a schema-membership fact).
   std::unordered_map<uint64_t, std::vector<EdgeId>> edges_by_type;
   PGHIVE_RETURN_NOT_OK(RetractKind(
-      deleted_edges, "edge", &schema->edge_types, &aggregates->edge_types,
+      g, deleted_edges, "edge", &schema->edge_types, &aggregates->edge_types,
       &edges_by_type, [&](EdgeId id) { return index->EdgeTypeOf(id); },
       [&](EdgeId id) { index->EraseEdge(id); },
       [&](EdgeId id, TypeAggregate* agg) {
         return RetractEdgeElement(g, g.edge(id), agg);
       },
-      [&](const SchemaEdgeType& t) { return RebuildEdgeAggregate(g, t); },
       &stats->edges_retracted, &stats->aggregate_rebuilds));
 
   std::unordered_map<uint64_t, std::vector<NodeId>> nodes_by_type;
   PGHIVE_RETURN_NOT_OK(RetractKind(
-      deleted_nodes, "node", &schema->node_types, &aggregates->node_types,
+      g, deleted_nodes, "node", &schema->node_types, &aggregates->node_types,
       &nodes_by_type, [&](NodeId id) { return index->NodeTypeOf(id); },
       [&](NodeId id) { index->EraseNode(id); },
       [&](NodeId id, TypeAggregate* agg) {
         return RetractNodeElement(sym, g.node(id), agg);
       },
-      [&](const SchemaNodeType& t) { return RebuildNodeAggregate(g, t); },
       &stats->nodes_retracted, &stats->aggregate_rebuilds));
 
   // Dangling-edge check: a deleted node must not survive as an endpoint of

@@ -1,17 +1,11 @@
-// Chunked data-parallel helpers over a ThreadPool, with a deterministic
-// ordered reduction.
+// Chunked data-parallel helpers over a ThreadPool.
 //
 // Determinism contract (relied on by the pipeline's 1-vs-N-thread
 // invariant): work is split into chunks whose boundaries are a pure
-// function of (n, grain) — never of the thread count — and
-// ParallelReduceOrdered merges per-chunk partial results strictly in
-// ascending chunk order on the calling thread. Running the same call with a
-// null pool, a 1-thread pool or an 8-thread pool therefore performs the
-// exact same sequence of merges on the exact same partials, so results are
-// bit-identical regardless of parallelism. When the per-chunk fold and the
-// merge compose to the plain left fold (true for every associative
-// operation: list append, min/max, counter sums, type-lattice joins), the
-// result also equals the straight sequential loop.
+// function of (n, grain) — never of the thread count — and every index is
+// handled exactly once, so a caller whose per-index work writes only its
+// own slot (ParallelMap) gets bit-identical results with a null pool, a
+// 1-thread pool or an 8-thread pool.
 //
 // Exceptions thrown by user callables are captured per chunk and the one
 // from the lowest-indexed failing chunk is rethrown on the calling thread
@@ -141,30 +135,6 @@ auto ParallelMap(ThreadPool* pool, size_t n, Fn&& fn,
   ParallelFor(
       pool, n, [&fn, &out](size_t i) { out[i] = fn(i); }, grain);
   return out;
-}
-
-/// Deterministic ordered reduction: chunk_fn(begin, end) folds one chunk
-/// into a partial (computed in parallel), then merge_fn(&acc, partial) is
-/// applied in ascending chunk order on the calling thread, starting from
-/// `init`. See the file comment for the determinism contract. The partial
-/// type must be default-constructible.
-template <typename Acc, typename ChunkFn, typename MergeFn>
-Acc ParallelReduceOrdered(ThreadPool* pool, size_t n, Acc init,
-                          ChunkFn&& chunk_fn, MergeFn&& merge_fn,
-                          size_t grain = kDefaultGrain) {
-  if (n == 0) return init;
-  if (grain == 0) grain = 1;
-  const size_t num_chunks = (n + grain - 1) / grain;
-  using Partial = std::decay_t<decltype(chunk_fn(size_t{0}, size_t{0}))>;
-  std::vector<Partial> partials(num_chunks);
-  ParallelForChunks(pool, n, grain,
-                    [&chunk_fn, &partials](size_t c, size_t begin,
-                                           size_t end) {
-                      partials[c] = chunk_fn(begin, end);
-                    });
-  Acc acc = std::move(init);
-  for (auto& p : partials) merge_fn(&acc, std::move(p));
-  return acc;
 }
 
 }  // namespace pghive

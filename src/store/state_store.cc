@@ -1,7 +1,7 @@
 #include "store/state_store.h"
 
 #include <fcntl.h>
-#include <signal.h>
+#include <sys/file.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -207,59 +207,48 @@ DurableDiscoverer::~DurableDiscoverer() { ReleaseLock(); }
 
 Status DurableDiscoverer::AcquireLock() {
   const std::string path = dir_ + "/LOCK";
-  // Two attempts: the second one races for the lock after breaking a stale
-  // file. If another opener wins that race, the verdict is AlreadyExists —
-  // exactly as if it had held the lock all along.
-  for (int attempt = 0; attempt < 2; ++attempt) {
-    const int fd = ::open(path.c_str(),
-                          O_CREAT | O_EXCL | O_WRONLY | O_CLOEXEC, 0644);
-    if (fd >= 0) {
-      const std::string pid = std::to_string(::getpid()) + "\n";
-      if (::write(fd, pid.data(), pid.size()) !=
-          static_cast<ssize_t>(pid.size())) {
-        const int err = errno;
-        ::close(fd);
-        ::unlink(path.c_str());
-        return Status::IoError("cannot write lock file '" + path +
-                               "': " + std::strerror(err));
-      }
-      lock_fd_ = fd;
-      return Status::OK();
-    }
-    if (errno != EEXIST) {
-      return Status::IoError("cannot create lock file '" + path +
-                             "': " + std::strerror(errno));
-    }
-    // Held by someone. Stale (holder dead) => break it and retry; a live
-    // holder — including another instance in this very process — wins.
-    long holder = 0;
-    {
-      std::FILE* f = std::fopen(path.c_str(), "r");
-      if (f != nullptr) {
-        if (std::fscanf(f, "%ld", &holder) != 1) holder = 0;
-        std::fclose(f);
-      }
-    }
-    if (holder > 0 && holder != ::getpid() &&
-        ::kill(static_cast<pid_t>(holder), 0) != 0 && errno == ESRCH) {
-      ::unlink(path.c_str());
-      continue;  // stale: the recorded process no longer exists
+  const int fd = ::open(path.c_str(), O_CREAT | O_RDWR | O_CLOEXEC, 0644);
+  if (fd < 0) {
+    return Status::IoError("cannot open lock file '" + path +
+                           "': " + std::strerror(errno));
+  }
+  // The flock belongs to this open file description, so the kernel drops it
+  // when the holder exits however it dies, and a second opener in this very
+  // process conflicts like any other. The file is never unlinked: an unlink
+  // racing a concurrent open would let two openers lock different inodes.
+  if (::flock(fd, LOCK_EX | LOCK_NB) != 0) {
+    const int err = errno;
+    // The recorded pid only names the holder in the message.
+    char buf[32] = {};
+    const ssize_t n = ::pread(fd, buf, sizeof(buf) - 1, 0);
+    const long holder = n > 0 ? std::strtol(buf, nullptr, 10) : 0;
+    ::close(fd);
+    if (err != EWOULDBLOCK) {
+      return Status::IoError("cannot lock '" + path +
+                             "': " + std::strerror(err));
     }
     return Status::AlreadyExists(
         "state directory '" + dir_ + "' is locked by process " +
         (holder > 0 ? std::to_string(holder) : "?") +
-        " (another daemon or CLI run; remove '" + path +
-        "' only if that process is gone)");
+        " (another daemon or CLI run holds '" + path + "')");
   }
-  return Status::AlreadyExists("state directory '" + dir_ +
-                               "' was locked by a concurrent opener");
+  const std::string pid = std::to_string(::getpid()) + "\n";
+  if (::ftruncate(fd, 0) != 0 ||
+      ::pwrite(fd, pid.data(), pid.size(), 0) !=
+          static_cast<ssize_t>(pid.size())) {
+    const int err = errno;
+    ::close(fd);
+    return Status::IoError("cannot write lock file '" + path +
+                           "': " + std::strerror(err));
+  }
+  lock_fd_ = fd;
+  return Status::OK();
 }
 
 void DurableDiscoverer::ReleaseLock() {
   if (lock_fd_ < 0) return;
-  ::close(lock_fd_);
+  ::close(lock_fd_);  // drops the flock
   lock_fd_ = -1;
-  ::unlink((dir_ + "/LOCK").c_str());
 }
 
 Result<std::unique_ptr<DurableDiscoverer>> DurableDiscoverer::OpenOrRecover(

@@ -110,12 +110,13 @@ std::vector<BatchPayload> MakeStreamBatches(const PropertyGraph& g,
 
 /// Incremental discovery with crash-consistent persistence.
 ///
-/// Single-writer: opening takes an exclusive `<dir>/LOCK` pidfile
-/// (O_CREAT|O_EXCL), so a daemon and a one-shot CLI run can never interleave
-/// appends into the same journal. A lock left behind by a dead process
-/// (crash) is detected via kill(pid, 0) and broken automatically; a live
-/// holder makes OpenOrRecover fail with AlreadyExists, which the CLI maps
-/// to its own exit code (4).
+/// Single-writer: opening holds an exclusive, non-blocking flock on
+/// `<dir>/LOCK` for the store's lifetime, so a daemon and a one-shot CLI run
+/// can never interleave appends into the same journal. The kernel releases
+/// the lock when its holder exits, so a crash leaves nothing to break; the
+/// pid written into the file only names the holder in the error. A held
+/// lock makes OpenOrRecover fail with AlreadyExists, which the CLI maps to
+/// its own exit code (4).
 class DurableDiscoverer {
  public:
   /// Opens `dir` (created if missing), recovering any prior state found
@@ -197,7 +198,7 @@ class DurableDiscoverer {
   std::string dir_;
   StoreOptions options_;
   uint64_t fingerprint_ = 0;
-  int lock_fd_ = -1;  // exclusive LOCK pidfile (released in the destructor)
+  int lock_fd_ = -1;  // holds the LOCK flock (released in the destructor)
 
   IncrementalDiscoverer engine_;
   PropertyGraph graph_;

@@ -1,5 +1,5 @@
 // Unit tests for the delta-maintained post-processing aggregates
-// (core/aggregates.h): fold/build/merge equivalence with the rescan oracle
+// (core/aggregates.h): fold equivalence with the rescan oracle
 // (tests/rescan_oracle.h), watermark semantics and consistency detection.
 
 #include <gtest/gtest.h>
@@ -9,12 +9,14 @@
 #include <vector>
 
 #include "core/aggregates.h"
+#include "core/incremental.h"
 #include "core/pipeline.h"
+#include "core/retraction.h"
+#include "core/schema_json.h"
 #include "datagen/datasets.h"
 #include "datagen/generator.h"
 #include "graph/property_graph.h"
 #include "rescan_oracle.h"
-#include "runtime/thread_pool.h"
 
 namespace pghive {
 namespace {
@@ -84,12 +86,18 @@ Fixture MakeFixture() {
   return f;
 }
 
-SchemaGraph FinalizeFrom(const Fixture& f, const SchemaAggregates& agg,
-                         ThreadPool* pool = nullptr) {
+/// A fresh fold of every instance `schema` assigns.
+SchemaAggregates FreshFold(const PropertyGraph& g, const SchemaGraph& schema) {
+  SchemaAggregates agg;
+  EXPECT_TRUE(agg.FoldNew(g, schema));
+  return agg;
+}
+
+SchemaGraph FinalizeFrom(const Fixture& f, const SchemaAggregates& agg) {
   SchemaGraph s = f.schema;
-  FinalizeConstraints(f.graph.symbols(), agg, &s, pool);
-  FinalizeDataTypes(f.graph.symbols(), agg, &s, pool);
-  FinalizeCardinalities(agg, &s, pool);
+  FinalizeConstraints(f.graph.symbols(), agg, &s);
+  FinalizeDataTypes(f.graph.symbols(), agg, &s);
+  FinalizeCardinalities(agg, &s);
   return s;
 }
 
@@ -115,7 +123,7 @@ std::string SchemaText(const SchemaGraph& s) {
 
 TEST(AggregatesTest, FinalizationMatchesRescanPasses) {
   Fixture f = MakeFixture();
-  SchemaAggregates agg = BuildAggregates(f.graph, f.schema);
+  SchemaAggregates agg = FreshFold(f.graph, f.schema);
   ASSERT_TRUE(agg.ConsistentWith(f.schema));
   EXPECT_EQ(SchemaText(FinalizeFrom(f, agg)),
             SchemaText(RescanPostProcess(f.graph, f.schema)));
@@ -123,7 +131,7 @@ TEST(AggregatesTest, FinalizationMatchesRescanPasses) {
 
 TEST(AggregatesTest, DatatypeJoinsMatchSequentialFold) {
   Fixture f = MakeFixture();
-  SchemaGraph s = FinalizeFrom(f, BuildAggregates(f.graph, f.schema));
+  SchemaGraph s = FinalizeFrom(f, FreshFold(f.graph, f.schema));
   const auto& person = s.node_types[0].constraints;
   EXPECT_EQ(person.at("age").type, DataType::kDouble);    // Int ⊔ Double
   EXPECT_EQ(person.at("name").type, DataType::kString);
@@ -141,18 +149,9 @@ TEST(AggregatesTest, DatatypeJoinsMatchSequentialFold) {
   EXPECT_EQ(knows.cardinality, SchemaCardinality::kOneToMany);
 }
 
-TEST(AggregatesTest, ParallelBuildMatchesSequential) {
-  Fixture f = MakeFixture();
-  const SchemaAggregates seq = BuildAggregates(f.graph, f.schema);
-  for (int threads : {2, 4}) {
-    ThreadPool pool(threads);
-    EXPECT_EQ(BuildAggregates(f.graph, f.schema, &pool), seq);
-  }
-}
-
 TEST(AggregatesTest, IncrementalFoldEqualsOneShotBuild) {
   // Replay the fixture's construction in two stages: aggregates folded
-  // after each stage must equal the one-shot build over the final state.
+  // after each stage must equal a fresh fold over the final state.
   Fixture staged;
   NodeId p0 = staged.AddNode("Person", {{"name", Value::String("ann")},
                                         {"age", Value::Int(30)}});
@@ -175,43 +174,23 @@ TEST(AggregatesTest, IncrementalFoldEqualsOneShotBuild) {
   staged.AddEdge("KNOWS", p0, p2, {});
   EXPECT_TRUE(agg.FoldNew(staged.graph, staged.schema));
   EXPECT_TRUE(agg.ConsistentWith(staged.schema));
-  EXPECT_EQ(agg, BuildAggregates(staged.graph, staged.schema));
+  EXPECT_EQ(agg, FreshFold(staged.graph, staged.schema));
 }
 
-TEST(AggregatesTest, MergeEqualsCombinedFold) {
+TEST(AggregatesTest, WatermarkFoldEqualsFreshFold) {
   Fixture f = MakeFixture();
-  // Split each type's instance list into halves, fold each half into its
-  // own aggregate via a truncated schema view, then merge.
-  SchemaGraph first = f.schema, second = f.schema;
+  // Fold the first half of each type's instance list through a truncated
+  // schema view, then continue from those watermarks to the full schema.
+  SchemaGraph first = f.schema;
   auto halve = [](auto* types) {
     for (auto& t : *types) t.instances.resize(t.instances.size() / 2);
   };
   halve(&first.node_types);
   halve(&first.edge_types);
-  SchemaAggregates a, b;
-  EXPECT_TRUE(a.FoldNew(f.graph, first));
-  // b starts at first's watermarks and folds the remainder.
-  b = a;
-  EXPECT_TRUE(b.FoldNew(f.graph, second));
-  EXPECT_EQ(b, BuildAggregates(f.graph, f.schema));
-
-  // Index-wise Merge of two independently folded halves also matches: the
-  // second half folded standalone (fresh aggregate over a schema whose
-  // instance lists are ONLY the second halves).
-  SchemaGraph tail = f.schema;
-  auto keep_tail = [](auto* types, const auto& full_types) {
-    for (size_t i = 0; i < types->size(); ++i) {
-      const auto& all = full_types[i].instances;
-      (*types)[i].instances.assign(all.begin() + all.size() / 2, all.end());
-    }
-  };
-  keep_tail(&tail.node_types, f.schema.node_types);
-  keep_tail(&tail.edge_types, f.schema.edge_types);
-  SchemaAggregates c;
-  EXPECT_TRUE(c.FoldNew(f.graph, tail));
-  SchemaAggregates merged = a;
-  merged.Merge(c);
-  EXPECT_EQ(merged, BuildAggregates(f.graph, f.schema));
+  SchemaAggregates agg;
+  EXPECT_TRUE(agg.FoldNew(f.graph, first));
+  EXPECT_TRUE(agg.FoldNew(f.graph, f.schema));
+  EXPECT_EQ(agg, FreshFold(f.graph, f.schema));
 }
 
 TEST(AggregatesTest, ShrunkInstanceListDetected) {
@@ -224,9 +203,65 @@ TEST(AggregatesTest, ShrunkInstanceListDetected) {
   EXPECT_FALSE(agg.FoldNew(f.graph, shrunk));
 }
 
+// A retraction whose subtraction underflows (the accumulator lost a count
+// that the type's instances still carry) refolds the type from its
+// survivors: the result equals a fresh fold, and the same deletion over
+// untampered aggregates.
+TEST(AggregatesTest, RetractionUnderflowRefoldsTheType) {
+  GenerateOptions gen;
+  gen.num_nodes = 400;
+  gen.num_edges = 700;
+  PropertyGraph g = GenerateGraph(MakePoleSpec(), gen).value();
+  IncrementalDiscoverer discoverer;
+  ASSERT_TRUE(discoverer.Feed(FullBatch(g)).ok());
+
+  SchemaGraph schema = discoverer.schema();
+  SchemaAggregates tampered = discoverer.aggregates();
+  size_t t = 0;
+  while (t < schema.edge_types.size() &&
+         schema.edge_types[t].instances.size() < 2) {
+    ++t;
+  }
+  ASSERT_LT(t, schema.edge_types.size());
+  // An edge: deleting it needs no endpoint-closure bookkeeping, and its
+  // type keeps a survivor.
+  const EdgeId victim = schema.edge_types[t].instances.front();
+  ASSERT_EQ(tampered.edge_types[t].label_set_counts.erase(
+                g.edge(victim).label_set),
+            1u);
+  ASSERT_TRUE(tampered.ConsistentWith(schema));
+
+  RetractionIndex index;
+  index.Rebuild(schema);
+  RetractionStats stats;
+  ASSERT_TRUE(RetractInstances(g, {}, {victim}, &schema, &tampered, &index,
+                               &stats)
+                  .ok());
+  EXPECT_EQ(stats.edges_retracted, 1u);
+  EXPECT_EQ(stats.aggregate_rebuilds, 1u);
+  TypeAggregate fresh;
+  FoldInstances(g, schema.edge_types[t], &fresh);
+  EXPECT_EQ(tampered.edge_types[t], fresh);
+
+  SchemaGraph clean_schema = discoverer.schema();
+  SchemaAggregates clean = discoverer.aggregates();
+  RetractionIndex clean_index;
+  clean_index.Rebuild(clean_schema);
+  RetractionStats clean_stats;
+  ASSERT_TRUE(RetractInstances(g, {}, {victim}, &clean_schema, &clean,
+                               &clean_index, &clean_stats)
+                  .ok());
+  EXPECT_EQ(clean_stats.aggregate_rebuilds, 0u);
+  EXPECT_EQ(tampered, clean);
+  SchemaJsonOptions with_instances;
+  with_instances.include_instances = true;
+  EXPECT_EQ(SchemaToJson(schema, with_instances),
+            SchemaToJson(clean_schema, with_instances));
+}
+
 TEST(AggregatesTest, PipelineFallsBackOnStaleAggregates) {
   Fixture f = MakeFixture();
-  SchemaAggregates stale = BuildAggregates(f.graph, f.schema);
+  SchemaAggregates stale = FreshFold(f.graph, f.schema);
   // External surgery: drop one Person instance. The pipeline must ignore
   // the stale aggregates and still match a rescan of the mutated schema.
   Fixture mutated = f;
@@ -253,7 +288,7 @@ TEST(AggregatesTest, DiscoveryIdenticalWithAndWithoutAggregates) {
   ASSERT_TRUE(with.ok());
   ASSERT_TRUE(unprocessed.ok());
   EXPECT_EQ(SchemaText(*with), SchemaText(RescanPostProcess(g, *unprocessed)));
-  PublishAggregateGauges(BuildAggregates(g, *with));
+  PublishAggregateGauges(FreshFold(g, *with));
 }
 
 // Sampling mode cannot be served from tallies; the pipeline must fall back

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <climits>
+#include <set>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -14,6 +15,8 @@
 #include "core/schema_json.h"
 #include "graph/csv_io.h"
 #include "graph/graph_builder.h"
+#include "obs/metrics.h"
+#include "obs/trace.h"
 #include "test_dir.h"
 
 namespace pghive {
@@ -391,6 +394,40 @@ TEST_F(CliTest, NoPostHonouredByIncrementalAndDurableRuns) {
       EXPECT_EQ(t.max_in_degree, 0u) << t.name;
     }
   }
+}
+
+// `discover` hangs its whole run off one root span, so --metrics-out alone
+// attributes the wall time: loading, discovery, output and teardown are the
+// root's direct children.
+TEST_F(CliTest, DiscoverSpansNestUnderOneRoot) {
+  obs::Tracer::Global().Clear();
+  Status s;
+  Run({"discover", prefix_, "--format", "json", "--metrics-out",
+       prefix_ + ".metrics.jsonl"},
+      &s);
+  obs::Tracer::Global().SetEnabled(false);
+  obs::SetMetricsEnabled(false);
+  const std::vector<obs::SpanEvent> spans =
+      obs::Tracer::Global().CollectSpans();
+  obs::Tracer::Global().Clear();
+  obs::MetricsRegistry::Global().ResetAll();
+  ASSERT_TRUE(s.ok()) << s;
+
+  uint64_t root = 0;
+  for (const auto& span : spans) {
+    if (span.name != "cli.discover") continue;
+    EXPECT_EQ(root, 0u) << "more than one cli.discover span";
+    EXPECT_EQ(span.parent, 0u);
+    root = span.id;
+  }
+  ASSERT_NE(root, 0u);
+  std::set<std::string> children;
+  for (const auto& span : spans) {
+    if (span.parent == root) children.insert(span.name);
+  }
+  EXPECT_EQ(children,
+            (std::set<std::string>{"cli.teardown", "graph.from_csv",
+                                   "output.format", "pipeline.discover"}));
 }
 
 TEST_F(CliTest, DatasetsLists) {

@@ -122,48 +122,6 @@ TEST(ParallelMapTest, PreservesIndexOrder) {
   for (size_t i = 0; i < out.size(); ++i) ASSERT_EQ(out[i], i * i);
 }
 
-TEST(ParallelReduceOrderedTest, EqualsSequentialFold) {
-  // A non-commutative fold (string concatenation) is the strictest probe:
-  // any reordering of chunks or elements changes the result.
-  const size_t n = 1000;
-  std::string expected;
-  for (size_t i = 0; i < n; ++i) expected += std::to_string(i) + ",";
-
-  auto chunk_fn = [](size_t begin, size_t end) {
-    std::string s;
-    for (size_t i = begin; i < end; ++i) s += std::to_string(i) + ",";
-    return s;
-  };
-  auto merge_fn = [](std::string* acc, std::string&& part) {
-    *acc += part;
-  };
-
-  for (int threads : {0, 1, 2, 8}) {
-    std::unique_ptr<ThreadPool> pool;
-    if (threads > 0) pool = std::make_unique<ThreadPool>(threads);
-    for (size_t grain : {size_t{1}, size_t{7}, size_t{256}, size_t{5000}}) {
-      EXPECT_EQ(ParallelReduceOrdered(pool.get(), n, std::string(), chunk_fn,
-                                      merge_fn, grain),
-                expected)
-          << "threads=" << threads << " grain=" << grain;
-    }
-  }
-}
-
-TEST(ParallelReduceOrderedTest, SumMatchesAccumulate) {
-  ThreadPool pool(8);
-  const size_t n = 100000;
-  long long got = ParallelReduceOrdered(
-      &pool, n, 0LL,
-      [](size_t begin, size_t end) {
-        long long s = 0;
-        for (size_t i = begin; i < end; ++i) s += static_cast<long long>(i);
-        return s;
-      },
-      [](long long* acc, long long part) { *acc += part; });
-  EXPECT_EQ(got, static_cast<long long>(n) * (n - 1) / 2);
-}
-
 // --- Pipeline determinism: the tentpole invariant. ---
 
 std::string DiscoverFingerprint(const PropertyGraph& g, ClusteringMethod m,

@@ -385,6 +385,18 @@ TEST(ServeLockTest, StaleLockOfDeadProcessIsBroken) {
   EXPECT_TRUE(opened.ok()) << opened.status();
 }
 
+// A restarted daemon can get its dead predecessor's pid back (pid 1 in a
+// container): a LOCK file naming our own pid, with no lock held on it, is
+// free.
+TEST(ServeLockTest, LockNamingOurOwnPidOpens) {
+  const std::string dir = TestDir("own_pid_lock");
+  std::filesystem::create_directories(dir);
+  ASSERT_TRUE(
+      WriteFile(dir + "/LOCK", std::to_string(::getpid()) + "\n").ok());
+  auto opened = store::DurableDiscoverer::OpenOrRecover(dir, FastStoreOptions());
+  EXPECT_TRUE(opened.ok()) << opened.status();
+}
+
 // --- End-to-end over loopback HTTP. ---
 
 class ServeEndToEndTest : public ::testing::Test {
